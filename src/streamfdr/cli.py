@@ -65,12 +65,28 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_csv(path, header, rows):
+def _cells(column):
+    """One column's CSV cells, by the rules of ``_fmt``: numpy float arrays
+    by repr, numpy bool and integer arrays as integers, anything else cell by
+    cell."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return map(repr, column.tolist())
+        if column.dtype.kind in "biu":
+            return column.astype(np.int64).tolist()
+    return map(_fmt, column)
+
+
+def _write_csv(path, header, columns):
+    """Write equal-length columns under ``header``, a column at a time."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows(zip(*map(_cells, columns)))
+
+
+def _rows_to_columns(rows, names):
+    return [[row[name] for row in rows] for name in names]
 
 
 def _write_json(path, payload):
@@ -94,8 +110,26 @@ def write_manifest(path, command: str, resolved: dict, inputs: dict,
     })
 
 
+def _bad_row(cells, label_idx) -> str:
+    """What is wrong with a stream row that failed to parse."""
+    width = 2 if label_idx is None else label_idx + 1
+    if len(cells) < width:
+        return f"expected {width} columns, got {len(cells)}"
+    for name, i, parse in (("t", 0, int), ("p", 1, float),
+                           ("label", label_idx, float)):
+        if i is not None:
+            try:
+                parse(cells[i])
+            except ValueError:
+                return f"cannot read {name} from {cells[i]!r}"
+    return "indices must be gapless from 1"
+
+
 def read_stream_csv(path):
-    """Read a (t,p[,label]) CSV; label is 1 for anomalous rows."""
+    """Read a (t,p[,label]) CSV; label is 1 for anomalous rows.
+
+    A malformed row raises ValueError naming it (row 1 is the first data row).
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -107,16 +141,32 @@ def read_stream_csv(path):
         has_label = "label" in header
         label_idx = header.index("label") if has_label else None
         ps, labels = [], []
-        for rowno, cells in enumerate(reader, start=1):
-            if int(cells[0]) != rowno:
-                raise ValueError(
-                    f"{path}: row {rowno}: indices must be gapless from 1")
-            ps.append(float(cells[1]))
-            if has_label:
-                labels.append(bool(int(float(cells[label_idx]))))
+        try:
+            for rowno, cells in enumerate(reader, start=1):
+                if int(cells[0]) != rowno:
+                    raise ValueError
+                ps.append(float(cells[1]))
+                if has_label:
+                    labels.append(float(cells[label_idx]))
+        except UnicodeDecodeError:   # the file is not text: no row to blame
+            raise
+        except (IndexError, ValueError):
+            problem = _bad_row(cells, label_idx)
+            raise ValueError(f"{path}: row {rowno}: {problem}") from None
     p = np.asarray(ps, dtype=np.float64)
-    is_null = ~np.asarray(labels, dtype=bool) if has_label else None
-    return p, is_null
+    bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+    if bad.size:
+        raise ValueError(f"{path}: row {bad[0] + 1}: p-value must lie in "
+                         f"[0, 1], got {ps[bad[0]]!r}")
+    if not has_label:
+        return p, None
+    label = np.asarray(labels, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(label))
+    if bad.size:
+        raise ValueError(f"{path}: row {bad[0] + 1}: label must be finite, "
+                         f"got {labels[bad[0]]!r}")
+    # a label counts as anomalous when its integer part is nonzero
+    return p, np.trunc(label) == 0.0
 
 
 def read_decisions_csv(path) -> metrics.DecisionLog:
@@ -195,9 +245,8 @@ def _run_simulate(resolved: dict, args) -> int:
     stream = simulation.generate_stream(cfg)
     prefix = resolved["out"]
     csv_path = _outpath(args, f"{prefix}.csv")
-    rows = ((i + 1, float(stream.p[i]), int(not stream.is_null[i]))
-            for i in range(len(stream)))
-    _write_csv(csv_path, ["t", "p", "label"], rows)
+    _write_csv(csv_path, ["t", "p", "label"],
+               [np.arange(1, len(stream) + 1), stream.p, ~stream.is_null])
     manifest = _outpath(args, f"{prefix}.manifest.json")
     write_manifest(manifest, "simulate", resolved, {}, {"stream": csv_path})
     print(f"wrote {csv_path} ({len(stream)} rows, "
@@ -227,14 +276,12 @@ def _run_score(resolved: dict, args) -> int:
     p = forecaster.score_frame(frame, resolved["window"], resolved["sidedness"])
     prefix = resolved["out"]
     csv_path = _outpath(args, f"{prefix}.csv")
+    t = np.arange(1, frame.n_rows + 1)
     if frame.labels is not None:
-        rows = ((i + 1, float(p[i]), int(frame.labels[i]))
-                for i in range(frame.n_rows))
-        _write_csv(csv_path, ["t", "p", "label"], rows)
+        _write_csv(csv_path, ["t", "p", "label"], [t, p, frame.labels])
         print(f"anomaly fraction: {frame.anomaly_fraction():.4%}")
     else:
-        rows = ((i + 1, float(p[i])) for i in range(frame.n_rows))
-        _write_csv(csv_path, ["t", "p"], rows)
+        _write_csv(csv_path, ["t", "p"], [t, p])
     manifest = _outpath(args, f"{prefix}.manifest.json")
     write_manifest(manifest, "score", resolved,
                    {"series": resolved["input"]}, {"pvalues": csv_path})
@@ -302,15 +349,12 @@ def _run_detect(resolved: dict, args) -> int:
     prefix = resolved["out"]
     csv_path = _outpath(args, f"{prefix}.csv")
     header = ["t", "p", "alpha", "reject"]
+    columns = [np.arange(offset + 1, offset + len(log) + 1), p, log.alpha,
+               log.rejected]
     if is_null is not None:
         header.append("label")
-        rows = ((offset + i + 1, float(p[i]), float(log.alpha[i]),
-                 int(log.rejected[i]), int(not is_null[i]))
-                for i in range(len(log)))
-    else:
-        rows = ((offset + i + 1, float(p[i]), float(log.alpha[i]),
-                 int(log.rejected[i])) for i in range(len(log)))
-    _write_csv(csv_path, header, rows)
+        columns.append(~is_null)
+    _write_csv(csv_path, header, columns)
 
     summary = metrics.summarize_log(log, config)
     footer_path = _outpath(args, f"{prefix}.metrics.json")
@@ -412,12 +456,10 @@ def _run_sweep(resolved: dict, args) -> int:
                   f"{err['error']}", file=sys.stderr)
         raw_path = _outpath(args, f"{prefix}.raw.csv")
         _write_csv(raw_path, simulation._RAW_COLUMNS,
-                   ([row[c] for c in simulation._RAW_COLUMNS]
-                    for row in result.raw))
+                   _rows_to_columns(result.raw, simulation._RAW_COLUMNS))
         agg_path = _outpath(args, f"{prefix}.agg.csv")
         _write_csv(agg_path, simulation._AGG_COLUMNS,
-                   ([row[c] for c in simulation._AGG_COLUMNS]
-                    for row in result.aggregate))
+                   _rows_to_columns(result.aggregate, simulation._AGG_COLUMNS))
         outputs = {"raw": raw_path, "aggregate": agg_path}
         print(f"wrote {raw_path} ({len(result.raw)} rows) and {agg_path} "
               f"({len(result.aggregate)} rows)")
@@ -436,10 +478,9 @@ def _run_sweep(resolved: dict, args) -> int:
             log = metrics.run_log(controllers.make_controller(config),
                                   stream.p, is_null=stream.is_null)
             path = _outpath(args, f"{prefix}.{method}.csv")
-            rows = ((i + 1, float(stream.p[i]), float(log.alpha[i]),
-                     int(log.rejected[i]), int(not stream.is_null[i]))
-                    for i in range(len(log)))
-            _write_csv(path, ["t", "p", "alpha", "reject", "label"], rows)
+            _write_csv(path, ["t", "p", "alpha", "reject", "label"],
+                       [np.arange(1, len(log) + 1), stream.p, log.alpha,
+                        log.rejected, ~stream.is_null])
             outputs[method] = path
             params = config.scalar_params()
             params["method"] = params.pop("rule")
@@ -465,8 +506,7 @@ def _run_sweep(resolved: dict, args) -> int:
         result = simulation.fixed_threshold_frontier(cfg)
         path = _outpath(args, f"{prefix}.frontier.csv")
         cols = list(result.aggregate[0].keys())
-        _write_csv(path, cols, ([row[c] for c in cols]
-                                for row in result.aggregate))
+        _write_csv(path, cols, _rows_to_columns(result.aggregate, cols))
         outputs = {"frontier": path}
         print(f"wrote {path} ({len(result.aggregate)} rows)")
     else:

@@ -32,6 +32,17 @@ ADDIS family (spending indexed by candidate counts; SAFFRON is tau = 1):
 
 fixed: a constant threshold, the classical baseline.
 
+Decay kernel
+------------
+With delta < 1 the LORD rules (all but ``lord``) credit each rejection with
+one fixed kernel: a rejection at r adds h(t - r) to every later threshold,
+h(u) = coef * delta**u * gamma_{u-L}, for u = 1..W, where delta**W is the
+first power below ``prune_epsilon``.  Those controllers keep the kernel's
+sum for the next steps in a future-contribution buffer, so a step reads
+one cell, and ``run_array`` scans whole chunks up to the next rejection.  The
+undecayed rules and the ADDIS family take a dot product over the live
+rejection terms instead.
+
 State is prunable (dropping a rejection term only lowers thresholds, so
 memory stays bounded on infinite streams), serializable to a versioned
 plain-text snapshot for resumable streams, and cheap to clone for replay
@@ -40,12 +51,15 @@ experiments.
 
 from __future__ import annotations
 
+import copy
 import json
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .gamma import (DEFAULT_HORIZON, DecayedGammaSequence, GammaSequence,
                     decayed_gamma, lord_gamma, power_gamma)
@@ -99,6 +113,15 @@ MONOTONE_LORD_RULES = frozenset({
 
 SNAPSHOT_FORMAT = "streamfdr-controller-state"
 SNAPSHOT_VERSION = 1
+
+#: cells in the decay kernel's future-contribution buffer, which covers the
+#: times base+1 .. base+_BLOCK
+_BLOCK = 1024
+#: powers of delta computed per numpy call when building decay tables
+_CHUNK = 1 << 16
+#: ``run_array`` steps one row at a time, not scanning, after a rejection
+#: that came within this many rows of the previous one
+_DENSE = 8
 
 
 def oracle_denominator_kind(rule: str) -> str:
@@ -288,6 +311,66 @@ class ControllerConfig:
         }
 
 
+def _power_runs(value: float, delta: float):
+    """value*delta, value*delta**2, ... by repeated multiplication, in chunks.
+
+    ``np.cumprod`` multiplies in order, so every power equals the one a loop
+    multiplying by delta once per step would hold.
+    """
+    size = 4096
+    while True:
+        run = np.full(size, delta)
+        run[0] = value * delta
+        run = np.cumprod(run)
+        yield run
+        value = float(run[-1])
+        size = min(2 * size, _CHUNK)
+
+
+@lru_cache(maxsize=8)
+def _decay_table(delta: float, eps: float, cap: int):
+    """Decay weights delta**u for u = 0..n, and the age at which to prune.
+
+    The table stops at the first power below ``eps`` (the weight a rejection
+    term is last used with before it is pruned), at ``cap``, past which the
+    spending sequence is 0, or, when ``eps`` is 0, where the powers have
+    underflowed so far that multiplying by delta no longer changes them.
+    The kernel stops with the table.  The prune age is None when ``eps`` is
+    0, which keeps every rejection.
+    """
+    pieces, n = [np.ones(1)], 0
+    for run in _power_runs(1.0, delta):
+        run = run[:cap - n]
+        end = np.flatnonzero(run < eps if eps > 0.0 else run * delta == run)
+        if end.size:
+            run = run[:end[0] + 1]
+        pieces.append(run)
+        n += run.size
+        if end.size or n == cap:
+            break
+    table = np.concatenate(pieces)
+    table.flags.writeable = False
+    return table, (n if eps > 0.0 else None)
+
+
+def _powers_at(table: np.ndarray, delta: float, ages: np.ndarray) -> np.ndarray:
+    """delta**age for each age: from the table, or past its end (only when
+    nothing is pruned) by carrying on the repeated multiplication."""
+    n = table.size - 1
+    out = table[np.minimum(ages, n)]
+    far = np.flatnonzero(ages > n)
+    if far.size and table[n] * delta != table[n]:
+        steps = ages[far] - n
+        done = 0
+        for run in _power_runs(float(table[n]), delta):
+            pick = (steps > done) & (steps <= done + run.size)
+            out[far[pick]] = run[steps[pick] - done - 1]
+            done += run.size
+            if done >= steps.max():
+                break
+    return out
+
+
 class _BaseController:
     """Shared bookkeeping: step counter, oracle accumulators, buffers."""
 
@@ -302,6 +385,8 @@ class _BaseController:
         self._decay = np.zeros(64, dtype=np.float64)
         self._start = 0
         self._k = 0
+        #: per-rejection arrays, kept parallel to the rejection times _rho
+        self._columns = ("_rho", "_decay")
 
     @property
     def t(self) -> int:
@@ -314,33 +399,26 @@ class _BaseController:
 
     def rejection_times(self) -> list[int]:
         """Times of the rejections still held in state (pruned ones dropped)."""
-        return self._rho[self._start:self._start + self._k].tolist()
+        return self._rho[self._live()].tolist()
 
     def _live(self):
         return slice(self._start, self._start + self._k)
 
-    def _append_rejection(self, t: int, extra=None):
+    def _append_rejection(self, t: int) -> int:
+        """Record a rejection at t; returns its slot in the per-rejection arrays."""
         if self._start + self._k == self._rho.size:
-            if self._start:
-                live = self._live()
-                self._rho[:self._k] = self._rho[live]
-                self._decay[:self._k] = self._decay[live]
-                if extra is not None:
-                    extra[:self._k] = extra[live]
-                self._start = 0
-            if self._k == self._rho.size:
-                grow = np.zeros(self._rho.size, dtype=np.int64)
-                self._rho = np.concatenate([self._rho, grow])
-                self._decay = np.concatenate(
-                    [self._decay, np.zeros(grow.size, dtype=np.float64)])
-                if extra is not None:
-                    extra = np.concatenate(
-                        [extra, np.zeros(grow.size, dtype=np.int64)])
+            live = self._live()
+            size = max(64, 2 * self._k)
+            for name in self._columns:
+                old = getattr(self, name)
+                new = np.zeros(size, dtype=old.dtype)
+                new[:self._k] = old[live]
+                setattr(self, name, new)
+            self._start = 0
         i = self._start + self._k
         self._rho[i] = t
-        self._decay[i] = 1.0
         self._k += 1
-        return extra
+        return i
 
     def _check_p(self, p: float) -> float:
         p = float(p)
@@ -352,7 +430,45 @@ class _BaseController:
         """Process a whole sequence, returning one Decision per element."""
         return [self.step(p) for p in pvalues]
 
+    def run_array(self, pvalues):
+        """Process a whole sequence into (alpha, rejected, oracle) arrays.
+
+        The result equals, bit for bit, calling ``step`` on each element in
+        turn.  Every p-value is checked before any state changes.
+        """
+        p = np.asarray(pvalues, dtype=np.float64)
+        bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"p-value must lie in [0, 1], got {float(p[i])!r} "
+                             f"at step {self._t + i + 1}")
+        return self._run_array(p)
+
+    def _run_array(self, p: np.ndarray):
+        n = p.size
+        alpha = np.empty(n, dtype=np.float64)
+        rejected = np.empty(n, dtype=bool)
+        oracle = np.empty(n, dtype=np.float64)
+        step = self.step
+        for i, x in enumerate(p.tolist()):
+            d = step(x)
+            alpha[i] = d.threshold
+            rejected[i] = d.rejected
+            oracle[i] = d.oracle_value
+        return alpha, rejected, oracle
+
+    def clone(self):
+        """Independent copy: writable arrays are copied, read-only tables shared."""
+        other = copy.copy(self)
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray) and value.flags.writeable:
+                setattr(other, name, value.copy())
+        return other
+
     # -- snapshots ---------------------------------------------------------
+
+    def _decay_weights(self) -> list[float]:
+        return self._decay[self._live()].tolist()
 
     def _snapshot_common(self) -> dict:
         return {
@@ -362,7 +478,7 @@ class _BaseController:
             "t": self._t,
             "rejection_count": self._rcount,
             "rejection_times": self.rejection_times(),
-            "decay_weights": self._decay[self._live()].tolist(),
+            "decay_weights": self._decay_weights(),
             "decayed_spend": self._dspend,
             "decayed_rejections": self._rdelta,
             "harmonic_q": self._q,
@@ -385,9 +501,10 @@ class _BaseController:
             raise ValueError("corrupt snapshot: mismatched state arrays")
         size = max(64, int(times.size))
         self._rho = np.zeros(size, dtype=np.int64)
-        self._decay = np.zeros(size, dtype=np.float64)
         self._rho[:times.size] = times
-        self._decay[:times.size] = weights
+        if self._decay is not None:
+            self._decay = np.zeros(size, dtype=np.float64)
+            self._decay[:times.size] = weights
         self._start = 0
         self._k = int(times.size)
         self._t = int(snap["t"])
@@ -398,7 +515,12 @@ class _BaseController:
 
 
 class LordController(_BaseController):
-    """LORD and its memory-decay / dependency-lagged / w0 variants."""
+    """LORD and its memory-decay / dependency-lagged / w0 variants.
+
+    With delta < 1 the rejection credit comes from the decay kernel (see the
+    module docstring); with delta = 1 from a dot product over the live
+    rejection terms.
+    """
 
     def __init__(self, config: ControllerConfig):
         if config.rule not in LORD_FAMILY:
@@ -424,44 +546,72 @@ class LordController(_BaseController):
                 self._rej_coef = config.alpha - config.w0
             self._floor = self._pre_coef * self._tilde.floor
         self._lag = config.lag
-        # main-text dependency form: the decay exponent is lagged as well
-        self._lag_scale = (config.delta ** (-config.lag)
-                           if config.lag_decay_exponent and config.lag else 1.0)
+        self._kernel = None
+        if config.delta != 1.0:
+            self._init_kernel()
 
-    def _threshold(self, t: int) -> float:
+    def _init_kernel(self):
         cfg = self.config
+        powers, self._prune_age = _decay_table(
+            cfg.delta, cfg.prune_epsilon, cfg.horizon + cfg.lag)
+        kernel = powers * self._gamma.weights(np.arange(powers.size) - cfg.lag)
+        if cfg.lag_decay_exponent and cfg.lag:
+            # main-text dependency form: the decay exponent is lagged as well
+            kernel *= cfg.delta ** (-cfg.lag)
+        kernel *= self._rej_coef
+        kernel.flags.writeable = False
+        self._powers = powers   # delta**u, u = 0..n
+        self._kernel = kernel   # credit of one rejection u = 0..n steps later
+        self._buf = np.zeros(_BLOCK, dtype=np.float64)
+        self._base = 0
+        self._decay = None
+        self._columns = ("_rho",)
+
+    def _pre(self, t: int) -> float:
+        """The part of alpha_t that is not rejection credit."""
         if self._classic_pre:
             gt = self._gamma.weight(t)
             if self._rho1 is None:
-                pre = cfg.w0 * gt
-            else:
-                d1 = self._decay1
-                pre = cfg.w0 * (d1 * gt - d1 * self._gamma.weight(t - self._rho1))
-        else:
-            pre = self._pre_coef * self._tilde.weight(t)
+                return self.config.w0 * gt
+            d1 = self._decay1
+            g1 = self._gamma.weight(t - self._rho1)
+            return self.config.w0 * (d1 * gt - d1 * g1)
+        return self._pre_coef * self._tilde.weight(t)
+
+    def _pre_many(self, times: np.ndarray, d1) -> np.ndarray:
+        """``_pre`` for consecutive times, d1 holding the first rejection's
+        decay weight at each of them."""
+        if self._classic_pre:
+            gt = self._gamma.weights(times)
+            if self._rho1 is None:
+                return self.config.w0 * gt
+            g1 = self._gamma.weights(times - self._rho1)
+            return self.config.w0 * (d1 * gt - d1 * g1)
+        return self._pre_coef * self._tilde.weights(times)
+
+    def _threshold(self, t: int) -> float:
+        """alpha_t of the undecayed form (delta = 1), before correction and clip."""
         if self._k:
             live = self._live()
             idx = t - self._rho[live]
             if self._lag:
                 idx = idx - self._lag
             s = float(np.dot(self._decay[live], self._gamma.weights(idx)))
-            if self._lag_scale != 1.0:
-                s *= self._lag_scale
         else:
             s = 0.0
-        return pre + self._rej_coef * s
+        return self._pre(t) + self._rej_coef * s
 
     def step(self, p) -> Decision:
         p = self._check_p(p)
         cfg = self.config
         delta = cfg.delta
         t = self._t + 1
-        if delta != 1.0:
-            if self._k:
-                self._decay[self._live()] *= delta
+        if self._kernel is None:
+            threshold = self._threshold(t)
+        else:
             if self._rho1 is not None:
                 self._decay1 *= delta
-        threshold = self._threshold(t)
+            threshold = self._pre(t) + float(self._buf[t - self._base - 1])
         floor = self._floor
         if cfg.dependence_correction:
             self._q += 1.0 / t
@@ -473,66 +623,167 @@ class LordController(_BaseController):
 
         self._dspend = delta * self._dspend + threshold
         self._rdelta = delta * self._rdelta + (1.0 if rejected else 0.0)
-        if rejected:
-            self._rcount += 1
         if self._smooth:
             oracle = self._dspend / (self._rdelta + cfg.eta)
         else:
             oracle = self._dspend / max(self._rdelta, 1.0)
 
-        if rejected:
-            self._append_rejection(t)
-            if self._rho1 is None:
-                self._rho1 = t
-                self._decay1 = 1.0
-        eps = cfg.prune_epsilon
-        if eps > 0.0 and self._k:
-            if delta != 1.0:
-                while self._k and self._decay[self._start] < eps:
-                    self._start += 1
-                    self._k -= 1
-            else:
-                # lagged terms start contributing only once t - rho > lag, so
-                # never drop an entry whose gamma index has not turned positive
-                while self._k:
-                    idx = t - int(self._rho[self._start]) - self._lag
-                    if idx >= 1 and self._gamma.weight(idx) < eps:
-                        self._start += 1
-                        self._k -= 1
-                    else:
-                        break
         self._t = t
+        if rejected:
+            self._rcount += 1
+            self._record_rejection(t)
+        if self._kernel is None:
+            self._prune_undecayed(t)
+        elif t == self._base + _BLOCK:
+            self._refill(t)
         return Decision(t, threshold, rejected, oracle, threshold <= floor)
 
-    def clone(self) -> "LordController":
-        other = object.__new__(LordController)
-        other.config = self.config
-        other._t = self._t
-        other._rcount = self._rcount
-        other._dspend = self._dspend
-        other._rdelta = self._rdelta
-        other._q = self._q
-        live = self._live()
-        n = max(64, self._k)
-        other._rho = np.zeros(n, dtype=np.int64)
-        other._decay = np.zeros(n, dtype=np.float64)
-        other._rho[:self._k] = self._rho[live]
-        other._decay[:self._k] = self._decay[live]
-        other._start = 0
-        other._k = self._k
-        other._gamma = self._gamma
-        other._rho1 = self._rho1
-        other._decay1 = self._decay1
-        other._smooth = self._smooth
-        other._classic_pre = self._classic_pre
-        other._tilde = self._tilde
-        if not self._classic_pre:
-            other._pre_coef = self._pre_coef
-        other._floor = self._floor
-        other._rej_coef = self._rej_coef
-        other._lag = self._lag
-        other._lag_scale = self._lag_scale
-        return other
+    def _record_rejection(self, t: int):
+        i = self._append_rejection(t)
+        if self._kernel is None:
+            self._decay[i] = 1.0
+        else:
+            self._add_kernel(t)
+        if self._rho1 is None:
+            self._rho1 = t
+            self._decay1 = 1.0
+
+    def _prune_undecayed(self, t: int):
+        eps = self.config.prune_epsilon
+        # lagged terms start contributing only once t - rho > lag, so never
+        # drop an entry whose gamma index has not turned positive
+        while eps > 0.0 and self._k:
+            idx = t - int(self._rho[self._start]) - self._lag
+            if idx >= 1 and self._gamma.weight(idx) < eps:
+                self._start += 1
+                self._k -= 1
+            else:
+                break
+
+    # -- decay kernel --------------------------------------------------------
+
+    def _add_kernel(self, r: int):
+        """Add the credit of a rejection at r to the buffer cells after r."""
+        base = self._base
+        lo = max(base, r)
+        hi = min(base + _BLOCK, r + self._kernel.size - 1)
+        if lo < hi:
+            self._buf[lo - base:hi - base] += self._kernel[lo + 1 - r:hi + 1 - r]
+
+    def _prune(self, now: int):
+        """Drop the rejections whose kernel ended by ``now``."""
+        if self._prune_age is not None and self._k:
+            live = self._rho[self._live()]
+            drop = int(np.searchsorted(live, now - self._prune_age, side="right"))
+            self._start += drop
+            self._k -= drop
+
+    def _refill(self, base: int):
+        """Move the buffer to times base+1 .. base+_BLOCK and add the live
+        rejections' credit to it, oldest first.
+
+        Each cell thus sums its credits in rejection order, whether they
+        arrived here or as the rejections happened, so stepping, ``run_array``
+        and restoring from a snapshot give the same bits.
+        """
+        self._prune(base)
+        self._base = base
+        self._buf.fill(0.0)
+        live = self._rho[self._live()]
+        first = int(np.searchsorted(live, base + 1 - (self._kernel.size - 1)))
+        for r in live[first:].tolist():
+            self._add_kernel(r)
+
+    def _run_array(self, p: np.ndarray):
+        if self._kernel is None:
+            return super()._run_array(p)
+        cfg = self.config
+        delta = cfg.delta
+        n = p.size
+        alpha = np.empty(n, dtype=np.float64)
+        rejected = np.zeros(n, dtype=bool)
+        oracle = np.empty(n, dtype=np.float64)
+        i = done = 0       # rows [done, i) still need their oracle
+        quiet = _DENSE     # steps since the last rejection, up to _DENSE
+        while i < n:
+            if quiet < _DENSE:
+                # rejections come close together: stepping costs less than
+                # a scan that stops after a few rows
+                if done < i:
+                    oracle[done:i] = self._oracle_many(alpha[done:i],
+                                                       rejected[done:i])
+                d = self.step(p[i])
+                alpha[i], rejected[i], oracle[i] = (d.threshold, d.rejected,
+                                                    d.oracle_value)
+                quiet = 0 if d.rejected else quiet + 1
+                i = done = i + 1
+                continue
+            # scan to the end of the buffer's block or to the next rejection
+            t0 = self._t
+            cell = t0 - self._base
+            m = min(n - i, _BLOCK - cell)
+            times = np.arange(t0 + 1, t0 + m + 1)
+            d1 = None
+            if self._rho1 is not None:
+                d1 = np.full(m, delta)
+                d1[0] = self._decay1 * delta
+                d1 = np.cumprod(d1)
+            thr = self._pre_many(times, d1) + self._buf[cell:cell + m]
+            if cfg.dependence_correction:
+                q = 1.0 / times
+                q[0] += self._q
+                q = np.cumsum(q)
+                thr /= q
+            np.minimum(thr, 1.0, out=thr)
+            hits = np.flatnonzero(p[i:i + m] <= thr)
+            if hits.size:
+                m = int(hits[0]) + 1
+            alpha[i:i + m] = thr[:m]
+            if cfg.dependence_correction:
+                self._q = float(q[m - 1])
+            if d1 is not None:
+                self._decay1 = float(d1[m - 1])
+            self._t = t = t0 + m
+            i += m
+            if hits.size:
+                rejected[i - 1] = True
+                self._rcount += 1
+                self._record_rejection(t)
+                quiet = 0 if m <= _DENSE else _DENSE
+            if t == self._base + _BLOCK:
+                self._refill(t)
+        oracle[done:] = self._oracle_many(alpha[done:], rejected[done:])
+        return alpha, rejected, oracle
+
+    def _oracle_many(self, spend: np.ndarray, rejected: np.ndarray) -> np.ndarray:
+        """Oracle after each of a run of steps; advances the accumulators."""
+        cfg = self.config
+        delta = cfg.delta
+        if not spend.size:
+            return np.empty(0, dtype=np.float64)
+        dspend, _ = lfilter([1.0], [1.0, -delta], spend,
+                            zi=[delta * self._dspend])
+        rdelta, _ = lfilter([1.0], [1.0, -delta], rejected.astype(np.float64),
+                            zi=[delta * self._rdelta])
+        self._dspend = float(dspend[-1])
+        self._rdelta = float(rdelta[-1])
+        if self._smooth:
+            return dspend / (rdelta + cfg.eta)
+        return dspend / np.maximum(rdelta, 1.0)
+
+    # -- snapshots -----------------------------------------------------------
+
+    def rejection_times(self) -> list[int]:
+        if self._kernel is not None:
+            self._prune(self._t)
+        return self._rho[self._live()].tolist()
+
+    def _decay_weights(self) -> list[float]:
+        if self._kernel is None:
+            return super()._decay_weights()
+        self._prune(self._t)
+        ages = self._t - self._rho[self._live()]
+        return _powers_at(self._powers, self.config.delta, ages).tolist()
 
     def _snapshot_dict(self) -> dict:
         snap = self._snapshot_common()
@@ -548,6 +799,8 @@ class LordController(_BaseController):
         rho1 = snap.get("first_rejection_time")
         ctrl._rho1 = None if rho1 is None else int(rho1)
         ctrl._decay1 = float(snap.get("first_decay_weight", 0.0))
+        if ctrl._kernel is not None:
+            ctrl._refill(ctrl._t)
         return ctrl
 
 
@@ -566,6 +819,7 @@ class AddisController(_BaseController):
         super().__init__(config)
         self._gamma = config.gamma
         self._scount = np.zeros(64, dtype=np.int64)
+        self._columns = ("_rho", "_decay", "_scount")
         self._s0 = 1
         self._s1 = 0
         rule = config.rule
@@ -639,8 +893,9 @@ class AddisController(_BaseController):
             if self._k:
                 self._scount[self._live()] += 1
         if rejected:
-            self._scount = self._append_rejection(t, self._scount)
-            self._scount[self._start + self._k - 1] = 1
+            i = self._append_rejection(t)
+            self._decay[i] = 1.0
+            self._scount[i] = 1
             if self._s1 == 0:
                 self._s1 = 1
         eps = cfg.prune_epsilon
@@ -656,33 +911,6 @@ class AddisController(_BaseController):
                     self._k -= 1
         self._t = t
         return Decision(t, threshold, rejected, oracle, threshold <= floor)
-
-    def clone(self) -> "AddisController":
-        other = object.__new__(AddisController)
-        other.config = self.config
-        other._t = self._t
-        other._rcount = self._rcount
-        other._dspend = self._dspend
-        other._rdelta = self._rdelta
-        other._q = self._q
-        live = self._live()
-        n = max(64, self._k)
-        other._rho = np.zeros(n, dtype=np.int64)
-        other._decay = np.zeros(n, dtype=np.float64)
-        other._scount = np.zeros(n, dtype=np.int64)
-        other._rho[:self._k] = self._rho[live]
-        other._decay[:self._k] = self._decay[live]
-        other._scount[:self._k] = self._scount[live]
-        other._start = 0
-        other._k = self._k
-        other._gamma = self._gamma
-        other._s0 = self._s0
-        other._s1 = self._s1
-        other._smooth = self._smooth
-        other._variant = self._variant
-        other._tilde = self._tilde
-        other._floor = self._floor
-        return other
 
     def _snapshot_dict(self) -> dict:
         snap = self._snapshot_common()
@@ -724,13 +952,6 @@ class FixedThresholdController(_BaseController):
         self._rdelta = self.config.delta * self._rdelta + (1.0 if rejected else 0.0)
         self._t = t
         return Decision(t, threshold, rejected, float("nan"), False)
-
-    def clone(self) -> "FixedThresholdController":
-        other = FixedThresholdController(self.config)
-        other._t = self._t
-        other._rcount = self._rcount
-        other._rdelta = self._rdelta
-        return other
 
     def _snapshot_dict(self) -> dict:
         return self._snapshot_common()

@@ -86,6 +86,25 @@ class TestDetect:
                    tmp_path / "nope.csv", "--method", "lord", "--out", "x")
         assert code == cli.EXIT_IO
 
+    @pytest.mark.parametrize("text, row", [
+        pytest.param("t,p\n1,0.5\n2\n", 2, id="ragged"),
+        pytest.param("t,p\n1,0.5\nx,0.5\n", 2, id="t-not-integer"),
+        pytest.param("t,p\n1,abc\n", 1, id="p-not-number"),
+        pytest.param("t,p\n1,0.5\n2,0.25\n3,1.5\n", 3, id="p-above-1"),
+        pytest.param("t,p\n1,-0.0001\n", 1, id="p-below-0"),
+        pytest.param("t,p\n1,0.5\n2,nan\n", 2, id="p-nan"),
+        pytest.param("t,p,label\n1,0.5,0\n2,0.5,yes\n", 2,
+                     id="label-not-number"),
+    ])
+    def test_malformed_row_exits_2_naming_it(self, tmp_path, capsys, text,
+                                             row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code = run("--output-dir", tmp_path, "detect", "--input", bad,
+                   "--method", "lord-decay", "--out", "bad")
+        assert code == cli.EXIT_VALIDATION
+        assert f"row {row}:" in capsys.readouterr().err
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         stream = simulate(tmp_path, pi1=0.05, length=600)
         text = stream.read_text().splitlines()
@@ -110,6 +129,26 @@ class TestDetect:
         h1 = (tmp_path / "h1.csv").read_text().splitlines()[1:]
         h2 = (tmp_path / "h2.csv").read_text().splitlines()[1:]
         assert h1 + h2 == whole
+
+
+class TestCsvWriter:
+    def test_cell_formats(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        cli._write_csv(path, ["a", "b", "c", "d", "e", "f", "g", "h", "i"], [
+            [None, "x"],
+            [True, np.bool_(False)],
+            [np.bool_(True), False],
+            [3, -7],
+            [0.1, 1e-300],
+            ["plain", "with,comma"],
+            np.array([0.5, 2.0 / 3.0]),
+            np.array([True, False]),
+            [2.5, None],
+        ])
+        assert path.read_bytes() == (
+            b"a,b,c,d,e,f,g,h,i\n"
+            b",1,1,3,0.1,plain,0.5,1,2.5\n"
+            b'x,0,0,-7,1e-300,"with,comma",0.6666666666666666,0,\n')
 
 
 class TestVerify:

@@ -4,12 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamfdr import metrics
 from streamfdr.controllers import (ControllerConfig, MONOTONE_LORD_RULES, ORACLE_RULES,
                                    RULES, make_controller, rescale_factor,
                                    restore_controller, threshold_floor)
-from streamfdr.gamma import lord_gamma, power_gamma
+from streamfdr.gamma import GammaSequence, lord_gamma, power_gamma
 from streamfdr.simulation import GeneratorConfig, generate_stream, method_config
 
 H = 100_000
@@ -417,19 +418,154 @@ class TestSnapshots:
 
     def test_clone_matches_original(self):
         rng = np.random.default_rng(59)
-        p = rng.random(300)
+        p = rng.random(3000)
         p[::37] = 0.0
-        for rule in ("lord-decay", "addis-decay"):
-            cfg = small_config(rule)
+        for rule in RULES:
+            cfg = small_config(rule, lag=2 if rule.startswith("lord-dep") else 0)
             ctrl = make_controller(cfg)
-            metrics.run_log(ctrl, p[:150])
+            metrics.run_log(ctrl, p[:1500])
             twin = ctrl.clone()
-            rest_a = metrics.run_log(ctrl, p[150:])
-            rest_b = metrics.run_log(twin, p[150:])
-            np.testing.assert_array_equal(rest_a.alpha, rest_b.alpha)
+            rest_a = metrics.run_log(ctrl, p[1500:])
+            rest_b = metrics.run_log(twin, p[1500:])
+            np.testing.assert_array_equal(rest_a.alpha, rest_b.alpha, rule)
+            np.testing.assert_array_equal(rest_a.rejected, rest_b.rejected, rule)
+            np.testing.assert_array_equal(rest_a.oracle, rest_b.oracle, rule)
+            assert ctrl.snapshot() == twin.snapshot(), rule
 
 
 class TestOracleRules:
     def test_eleven_rules_carry_oracles(self):
         assert len(ORACLE_RULES) == 11
         assert "fixed" not in ORACLE_RULES
+
+
+KERNEL_RULES = ("lord-decay-ramdas", "lord-decay", "lord-dep-decay",
+                "lord-decay-w0", "lord-dep-decay-w0")
+
+#: written by the release before the decay kernel: lord-dep-decay-w0, lag 3,
+#: horizon 100k, after 200 steps of the stream in test_v1_snapshot_resumes
+V1_SNAPSHOT = (
+    '{"decay_weights": [0.13533300490703207, 0.1605481911108965, '
+    '0.19046145976502743, 0.22594815553398728, 0.26804671691687404, '
+    '0.3179890638191435, 0.37723664692350434, 0.44752321376381066, '
+    '0.5309055429551132, 0.6298236312032323, 0.7471720943315961, '
+    '0.8863848717161291], "decayed_rejections": 4.917372592946347, '
+    '"decayed_spend": 0.13978533220076028, '
+    '"first_decay_weight": 0.13533300490703207, "first_rejection_time": 1, '
+    '"format": "streamfdr-controller-state", "harmonic_q": 0.0, '
+    '"params": {"alpha": 0.1, "delta": 0.99, "dependence_correction": false, '
+    '"eta": 1.0, "gamma_kind": "lord-default", "gamma_param": null, '
+    '"horizon": 100000, "lag": 3, "lag_decay_exponent": false, "lam": null, '
+    '"prune_epsilon": 1e-12, "rule": "lord-dep-decay-w0", "tau": null, '
+    '"w0": 0.05}, "rejection_count": 12, "rejection_times": [1, 18, 35, 52, '
+    '69, 86, 103, 120, 137, 154, 171, 188], "t": 200, "version": 1}')
+
+
+def step_loop(ctrl, p):
+    decisions = [ctrl.step(x) for x in p]
+    return (np.array([d.threshold for d in decisions]),
+            np.array([d.rejected for d in decisions], dtype=bool),
+            np.array([d.oracle_value for d in decisions]))
+
+
+class TestDecayKernel:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(rule=st.sampled_from(KERNEL_RULES), lag=st.sampled_from((0, 3)),
+           correction=st.booleans(), lag_exponent=st.booleans(),
+           eps=st.sampled_from((0.0, 1e-12, 1e-3)),
+           delta=st.sampled_from((0.5, 0.9, 0.99)),
+           n=st.integers(1, 2600), seed=st.integers(0, 2 ** 32 - 1),
+           ties=st.integers(0, 4), split=st.floats(0.0, 1.0))
+    def test_run_array_equals_step_loop(self, rule, lag, correction,
+                                        lag_exponent, eps, delta, n, seed,
+                                        ties, split):
+        dep = rule.startswith("lord-dep")
+        cfg = small_config(rule, delta=delta, lag=lag if dep else 0,
+                           dependence_correction=correction,
+                           lag_decay_exponent=lag_exponent and dep,
+                           prune_epsilon=eps)
+        rng = np.random.default_rng(seed)
+        p = rng.random(n) ** 4
+        # p == alpha_t exactly at a few steps, each set after the earlier ones
+        for i in np.sort(rng.choice(n, size=min(ties, n), replace=False)):
+            p[i] = step_loop(make_controller(cfg), p)[0][i]
+
+        stepped = make_controller(cfg)
+        alpha, rejected, oracle = step_loop(stepped, p)
+        batch = make_controller(cfg)
+        log = metrics.run_log(batch, p)
+        np.testing.assert_array_equal(log.alpha, alpha)
+        np.testing.assert_array_equal(log.rejected, rejected)
+        np.testing.assert_array_equal(log.oracle, oracle)
+        assert batch.snapshot() == stepped.snapshot()
+
+        k = int(split * n)
+        head = make_controller(cfg)
+        first = metrics.run_log(head, p[:k])
+        resumed = restore_controller(cfg, head.snapshot())
+        second = metrics.run_log(resumed, p[k:])
+        np.testing.assert_array_equal(
+            np.concatenate([first.alpha, second.alpha]), alpha)
+        np.testing.assert_array_equal(
+            np.concatenate([first.rejected, second.rejected]), rejected)
+        np.testing.assert_array_equal(
+            np.concatenate([first.oracle, second.oracle]), oracle)
+        assert resumed.snapshot() == stepped.snapshot()
+
+    def test_v1_snapshot_resumes(self):
+        cfg = small_config("lord-dep-decay-w0", lag=3)
+        rng = np.random.default_rng(61)
+        p = rng.random(400)
+        p[::17] = 1e-6
+        whole = metrics.run_log(make_controller(cfg), p)
+        resumed = restore_controller(cfg, V1_SNAPSHOT)
+        tail = metrics.run_log(resumed, p[200:])
+        np.testing.assert_array_equal(tail.alpha, whole.alpha[200:])
+        np.testing.assert_array_equal(tail.rejected, whole.rejected[200:])
+        np.testing.assert_allclose(tail.oracle, whole.oracle[200:], rtol=1e-13)
+        # the state the kernel keeps reproduces the stored one
+        ctrl = make_controller(cfg)
+        metrics.run_log(ctrl, p[:200])
+        ours, stored = json.loads(ctrl.snapshot()), json.loads(V1_SNAPSHOT)
+        for key in ("params", "t", "rejection_count", "rejection_times",
+                    "decay_weights", "first_rejection_time",
+                    "first_decay_weight", "harmonic_q"):
+            assert ours[key] == stored[key], key
+
+    def test_unpruned_decay_weights_outlast_the_kernel(self):
+        # with nothing pruned, a rejection stays in the snapshot after its
+        # kernel (cut at the custom horizon) has ended, with its weight
+        # delta**age by repeated multiplication
+        cfg = ControllerConfig(rule="lord-decay", delta=0.999,
+                               prune_epsilon=0.0,
+                               gamma=GammaSequence.custom([0.5, 0.25, 0.125]))
+        ctrl = make_controller(cfg)
+        metrics.run_log(ctrl, np.r_[0.0, np.ones(2999)])
+        weight = 1.0
+        for _ in range(2999):
+            weight *= 0.999
+        snap = json.loads(ctrl.snapshot())
+        assert snap["rejection_times"] == [1]
+        assert snap["decay_weights"] == [weight]
+
+    def test_prune_point_follows_the_decay_weight(self):
+        # a rejection term goes after the first step whose decay weight,
+        # by repeated multiplication, is below prune_epsilon
+        cfg = small_config("lord-decay", delta=0.99, prune_epsilon=1e-12)
+        weight, age = 1.0, 0
+        while weight >= 1e-12:
+            weight *= 0.99
+            age += 1
+        ctrl = make_controller(cfg)
+        metrics.run_log(ctrl, np.r_[0.0, np.ones(age - 1)])
+        assert ctrl.rejection_times() == [1]
+        ctrl.step(1.0)
+        assert ctrl.rejection_times() == []
+
+    def test_bad_p_leaves_state_untouched(self):
+        ctrl = make_controller(small_config("lord-decay"))
+        metrics.run_log(ctrl, np.full(10, 0.5))
+        before = ctrl.snapshot()
+        with pytest.raises(ValueError, match="at step 13"):
+            ctrl.run_array([0.5, 0.5, float("nan"), 0.5])
+        assert ctrl.snapshot() == before

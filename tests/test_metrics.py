@@ -202,6 +202,19 @@ class TestVerifier:
             assert a.min_surplus == pytest.approx(b.min_surplus, rel=1e-10, abs=1e-12)
             assert a.max_oracle == pytest.approx(b.max_oracle, rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("delta", [0.5, 0.99, 1.0])
+    def test_recurrence_prefixes_match_python_loop_bit_for_bit(self, delta):
+        rng = np.random.default_rng(67)
+        values = rng.random(5000) * 10.0 ** rng.uniform(-12, 0, 5000)
+        values[rng.random(5000) < 0.3] = 0.0
+        expected = []
+        acc = 0.0
+        for v in values.tolist():
+            acc = delta * acc + v
+            expected.append(acc)
+        got = metrics._discounted_prefixes(values, delta, "recurrence")
+        np.testing.assert_array_equal(got, np.asarray(expected))
+
     def test_incremental_oracle_matches_scratch_long_stream(self):
         # controller-side running oracle vs quadratic recomputation
         cfg, log = self._log(n=20_000, pi1=0.05)
