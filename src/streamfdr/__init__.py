@@ -15,8 +15,7 @@ from .forecaster import (SeriesFrame, ingest_csv, min_across_dims,
                          rolling_gaussian_pvalues, score_frame)
 from .gamma import (DecayedGammaSequence, GammaSequence, decayed_gamma,
                     harmonic_number, lord_gamma, power_gamma)
-from .metrics import (DecisionLog, MetricsAccumulator, StreamRecord,
-                      VerificationReport, mfdr_estimate, run_log,
+from .metrics import (DecisionLog, VerificationReport, mfdr_estimate, run_log,
                       summarize_log, verify_oracle_and_surplus)
 from .simulation import (BurstConfig, FrontierConfig, GeneratorConfig, Stream,
                          SweepConfig, SweepResult, fixed_threshold_frontier,
@@ -31,9 +30,8 @@ __all__ = [
     "rolling_gaussian_pvalues", "score_frame",
     "DecayedGammaSequence", "GammaSequence", "decayed_gamma",
     "harmonic_number", "lord_gamma", "power_gamma",
-    "DecisionLog", "MetricsAccumulator", "StreamRecord",
-    "VerificationReport", "mfdr_estimate", "run_log", "summarize_log",
-    "verify_oracle_and_surplus",
+    "DecisionLog", "VerificationReport", "mfdr_estimate", "run_log",
+    "summarize_log", "verify_oracle_and_surplus",
     "BurstConfig", "FrontierConfig", "GeneratorConfig", "Stream",
     "SweepConfig", "SweepResult", "fixed_threshold_frontier",
     "generate_burst_stream", "generate_stream", "method_config", "run_sweep",

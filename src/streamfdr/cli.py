@@ -24,7 +24,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
@@ -110,18 +110,17 @@ def write_manifest(path, command: str, resolved: dict, inputs: dict,
     })
 
 
-def _bad_row(cells, label_idx) -> str:
-    """What is wrong with a stream row that failed to parse."""
-    width = 2 if label_idx is None else label_idx + 1
+def _bad_row(cells, columns) -> str:
+    """What is wrong with a row that failed to parse; ``columns`` holds the
+    (name, index, parser) of each cell the reader parses."""
+    width = max(i for _, i, _ in columns) + 1
     if len(cells) < width:
         return f"expected {width} columns, got {len(cells)}"
-    for name, i, parse in (("t", 0, int), ("p", 1, float),
-                           ("label", label_idx, float)):
-        if i is not None:
-            try:
-                parse(cells[i])
-            except ValueError:
-                return f"cannot read {name} from {cells[i]!r}"
+    for name, i, parse in columns:
+        try:
+            parse(cells[i])
+        except (ValueError, OverflowError):
+            return f"cannot read {name} from {cells[i]!r}"
     return "indices must be gapless from 1"
 
 
@@ -151,7 +150,10 @@ def read_stream_csv(path):
         except UnicodeDecodeError:   # the file is not text: no row to blame
             raise
         except (IndexError, ValueError):
-            problem = _bad_row(cells, label_idx)
+            columns = [("t", 0, int), ("p", 1, float)]
+            if has_label:
+                columns.append(("label", label_idx, float))
+            problem = _bad_row(cells, columns)
             raise ValueError(f"{path}: row {rowno}: {problem}") from None
     p = np.asarray(ps, dtype=np.float64)
     bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
@@ -170,6 +172,10 @@ def read_stream_csv(path):
 
 
 def read_decisions_csv(path) -> metrics.DecisionLog:
+    """Read a (t,p,alpha,reject[,label]) decision log.
+
+    A malformed row raises ValueError naming it (row 1 is the first data row).
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -179,15 +185,26 @@ def read_decisions_csv(path) -> metrics.DecisionLog:
         for col in ("t", "p", "alpha", "reject"):
             if col not in header:
                 raise ValueError(f"{path}: missing column {col!r}")
-        idx = {c: header.index(c) for c in header}
         has_label = "label" in header
+        ip, ia, ir = (header.index(c) for c in ("p", "alpha", "reject"))
+        il = header.index("label") if has_label else None
         ps, alphas, rejects, labels = [], [], [], []
-        for cells in reader:
-            ps.append(float(cells[idx["p"]]))
-            alphas.append(float(cells[idx["alpha"]]))
-            rejects.append(bool(int(cells[idx["reject"]])))
+        try:
+            for rowno, cells in enumerate(reader, start=1):
+                ps.append(float(cells[ip]))
+                alphas.append(float(cells[ia]))
+                rejects.append(bool(int(cells[ir])))
+                if has_label:
+                    labels.append(bool(int(float(cells[il]))))
+        except UnicodeDecodeError:   # the file is not text: no row to blame
+            raise
+        except (IndexError, ValueError, OverflowError):
+            columns = [("p", ip, float), ("alpha", ia, float),
+                       ("reject", ir, int)]
             if has_label:
-                labels.append(bool(int(float(cells[idx["label"]]))))
+                columns.append(("label", il, lambda cell: int(float(cell))))
+            problem = _bad_row(cells, columns)
+            raise ValueError(f"{path}: row {rowno}: {problem}") from None
     return metrics.DecisionLog(
         p=np.asarray(ps, dtype=np.float64),
         alpha=np.asarray(alphas, dtype=np.float64),
@@ -207,6 +224,15 @@ def _print_warnings(caught):
         print(f"warning: {w.message}", file=sys.stderr)
 
 
+def _config_params(config: ControllerConfig) -> dict:
+    """The rule settings a manifest records; ``config_from_resolved`` reads
+    them back."""
+    params = config.scalar_params()
+    params["method"] = params.pop("rule")
+    del params["gamma_kind"], params["gamma_param"]
+    return params
+
+
 def config_from_resolved(resolved: dict) -> ControllerConfig:
     """Rebuild a controller config from manifest-resolved parameters."""
     from .gamma import GammaSequence
@@ -216,20 +242,9 @@ def config_from_resolved(resolved: dict) -> ControllerConfig:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return ControllerConfig(
-            rule=resolved["method"],
-            alpha=resolved["alpha"],
-            delta=resolved["delta"],
-            eta=resolved["eta"],
-            w0=resolved["w0"],
-            lam=resolved["lam"],
-            tau=resolved["tau"],
-            lag=resolved["lag"],
-            gamma=gamma,
-            dependence_correction=resolved["dependence_correction"],
-            prune_epsilon=resolved["prune_epsilon"],
-            lag_decay_exponent=resolved["lag_decay_exponent"],
-            horizon=resolved["horizon"],
-        )
+            rule=resolved["method"], gamma=gamma,
+            **{f.name: resolved[f.name] for f in fields(ControllerConfig)
+               if f.name not in ("rule", "gamma")})
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +252,8 @@ def config_from_resolved(resolved: dict) -> ControllerConfig:
 # ---------------------------------------------------------------------------
 
 def _run_simulate(resolved: dict, args) -> int:
-    cfg = simulation.GeneratorConfig(
-        length=resolved["length"], pi1=resolved["pi1"],
-        alternative=resolved["alternative"], effect=resolved["effect"],
-        sidedness=resolved["sidedness"], seed=resolved["seed"],
-        ma_lag=resolved["ma_lag"])
-    stream = simulation.generate_stream(cfg)
+    stream = simulation.generate_stream(simulation.GeneratorConfig(
+        **{f.name: resolved[f.name] for f in fields(simulation.GeneratorConfig)}))
     prefix = resolved["out"]
     csv_path = _outpath(args, f"{prefix}.csv")
     _write_csv(csv_path, ["t", "p", "label"],
@@ -255,13 +266,9 @@ def _run_simulate(resolved: dict, args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    resolved = {
-        "length": args.length, "pi1": args.pi1,
-        "alternative": args.alternative, "effect": args.effect,
-        "sidedness": args.sidedness, "seed": args.seed,
-        "ma_lag": args.ma_lag, "out": args.out,
-    }
-    return _run_simulate(resolved, args)
+    resolved = {f.name: getattr(args, f.name)
+                for f in fields(simulation.GeneratorConfig)}
+    return _run_simulate(dict(resolved, out=args.out), args)
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +326,10 @@ def _detect_resolved(args) -> dict:
             prune_epsilon=args.prune_epsilon,
             lag_decay_exponent=args.lag_decay_exponent)
     _print_warnings(caught)
-    resolved = {"method": config.rule, "input": args.input, "out": args.out,
+    resolved = {"input": args.input, "out": args.out,
                 "resume_from": args.resume_from, "save_state": args.save_state,
                 "gamma_file": args.gamma_file}
-    params = config.scalar_params()
-    params.pop("rule")
-    params.pop("gamma_kind")
-    params.pop("gamma_param")
-    resolved.update(params)
+    resolved.update(_config_params(config))
     return resolved
 
 
@@ -387,24 +390,26 @@ def cmd_detect(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
+def _defaults(cls) -> dict:
+    """Field defaults of a config dataclass (fields with factories skipped)."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+#: the grid settings: the fields of SweepConfig, whose defaults are fig4's
+_GRID_DEFAULTS = _defaults(simulation.SweepConfig)
+#: the grid settings that burst and frontier sweeps record without a grid
+_NO_GRID = {"methods": ("saffron", "saffron-decay"), "pi1_grid": ()}
+
 PRESETS = {
     "fig1": {
         "kind": "grid",
         "methods": ("lord", "saffron", "addis"),
         "pi1_grid": (1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.3, 0.5, 0.9),
     },
-    "fig4": {
-        "kind": "grid",
-        "methods": ("lord", "saffron", "addis", "lord-decay", "saffron-decay"),
-        "pi1_grid": (1e-4, 1e-3, 1e-2, 1e-1, 0.5, 0.9),
-    },
-    "fig3": {"kind": "burst"},
-    "fig6": {"kind": "frontier"},
+    "fig4": {"kind": "grid"},
+    "fig3": {"kind": "burst", **_NO_GRID},
+    "fig6": {"kind": "frontier", **_NO_GRID},
 }
-
-_GRID_KEYS = {"methods", "pi1_grid", "length", "reps", "alpha", "delta", "eta",
-              "lag", "alternative", "effect", "sidedness", "ma_lag",
-              "seed_base", "workers"}
 
 
 def _parse_config_file(path) -> dict:
@@ -430,15 +435,18 @@ def _coerce_sweep_settings(settings: dict) -> dict:
             coerced[key] = tuple(v.strip() for v in value.split(",") if v.strip())
         elif key == "pi1_grid":
             coerced[key] = tuple(float(v) for v in value.split(","))
-        elif key in ("length", "reps", "lag", "ma_lag", "seed_base", "workers"):
-            coerced[key] = int(value)
-        elif key in ("alpha", "delta", "eta", "effect"):
-            coerced[key] = float(value)
-        elif key in ("alternative", "sidedness"):
-            coerced[key] = value
+        elif key in _GRID_DEFAULTS:   # an int, float or str setting
+            coerced[key] = type(_GRID_DEFAULTS[key])(value)
         else:
             raise ValueError(f"unknown sweep setting {key!r}")
     return coerced
+
+
+def _burst_config(resolved: dict):
+    return simulation.BurstConfig(
+        burst_length=resolved["burst_length"],
+        burst_anomalies=resolved["burst_anomalies"], gap=resolved["gap"],
+        effect=resolved["effect"], seed=resolved["seed_base"])
 
 
 def _run_sweep(resolved: dict, args) -> int:
@@ -448,7 +456,7 @@ def _run_sweep(resolved: dict, args) -> int:
     failed_cells = []
     if kind == "grid":
         cfg = simulation.SweepConfig(**{k: v for k, v in resolved.items()
-                                        if k in _GRID_KEYS})
+                                        if k in _GRID_DEFAULTS})
         result = simulation.run_sweep(cfg)
         for err in result.errors:
             failed_cells.append(err)
@@ -464,12 +472,7 @@ def _run_sweep(resolved: dict, args) -> int:
         print(f"wrote {raw_path} ({len(result.raw)} rows) and {agg_path} "
               f"({len(result.aggregate)} rows)")
     elif kind == "burst":
-        burst = simulation.BurstConfig(
-            burst_length=resolved["burst_length"],
-            burst_anomalies=resolved["burst_anomalies"],
-            gap=resolved["gap"], effect=resolved["effect"],
-            seed=resolved["seed_base"])
-        stream = simulation.generate_burst_stream(burst)
+        stream = simulation.generate_burst_stream(_burst_config(resolved))
         log_configs = {}
         for method in resolved["methods"]:
             config = simulation.method_config(
@@ -482,23 +485,15 @@ def _run_sweep(resolved: dict, args) -> int:
                        [np.arange(1, len(log) + 1), stream.p, log.alpha,
                         log.rejected, ~stream.is_null])
             outputs[method] = path
-            params = config.scalar_params()
-            params["method"] = params.pop("rule")
+            params = _config_params(config)
             params.update({"input": None, "out": None,
                            "resume_from": None, "save_state": None})
-            params.pop("gamma_kind")
-            params.pop("gamma_param")
             log_configs[os.path.basename(path)] = params
             print(f"wrote {path} ({int(log.rejected.sum())} rejections)")
         resolved = dict(resolved, logs=log_configs)
     elif kind == "frontier":
         cfg = simulation.FrontierConfig(
-            burst=simulation.BurstConfig(
-                burst_length=resolved["burst_length"],
-                burst_anomalies=resolved["burst_anomalies"],
-                gap=resolved["gap"], effect=resolved["effect"],
-                seed=resolved["seed_base"]),
-            method=resolved["frontier_method"],
+            burst=_burst_config(resolved), method=resolved["frontier_method"],
             alpha_grid=resolved["alpha_grid"],
             threshold_grid=resolved["threshold_grid"],
             delta=resolved["delta"], eta=resolved["eta"],
@@ -533,22 +528,17 @@ def _sweep_resolved(args) -> dict:
     if preset_name not in PRESETS:
         raise ValueError(f"unknown preset {preset_name!r}; "
                          f"choose from {', '.join(sorted(PRESETS))}")
-    preset = PRESETS[preset_name]
-    resolved = {
-        "preset": preset_name, "kind": preset["kind"],
-        "alpha": 0.1, "delta": 0.99, "eta": 1.0, "lag": 0,
-        "length": 20000, "reps": 20, "seed_base": 0, "workers": 1,
-        "alternative": "mean", "effect": 3.0, "sidedness": "two", "ma_lag": 0,
-        "burst_length": 1000, "burst_anomalies": 50, "gap": 10000,
-        "methods": ("saffron", "saffron-decay"),
-        "pi1_grid": (),
-        "frontier_method": "lord-decay",
-        "alpha_grid": (0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5),
-        "threshold_grid": tuple(float(x) for x in np.geomspace(3e-5, 0.5, 28)),
-        "config_file": args.config,
-        "out": args.out,
-    }
-    resolved.update({k: v for k, v in preset.items() if k != "kind"})
+    burst = _defaults(simulation.BurstConfig)
+    frontier = _defaults(simulation.FrontierConfig)
+    resolved = dict(
+        _GRID_DEFAULTS, preset=preset_name,
+        burst_length=burst["burst_length"],
+        burst_anomalies=burst["burst_anomalies"], gap=burst["gap"],
+        frontier_method=frontier["method"],
+        alpha_grid=frontier["alpha_grid"],
+        threshold_grid=frontier["threshold_grid"],
+        config_file=args.config, out=args.out)
+    resolved.update(PRESETS[preset_name])
     resolved.update(settings)
     for flag in ("reps", "length", "workers", "alpha", "delta"):
         value = getattr(args, flag)
@@ -575,8 +565,6 @@ def cmd_verify(args) -> int:
         recorded = manifest["outputs"].get("decisions", {})
         resolved = manifest["resolved"]
     elif manifest.get("command") == "sweep" and "logs" in manifest.get("resolved", {}):
-        recorded = manifest["outputs"].get(
-            basename.split(".")[-2] if basename.count(".") >= 2 else "", {})
         by_name = manifest["resolved"]["logs"]
         if basename not in by_name:
             raise ValueError(

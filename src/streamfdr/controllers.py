@@ -32,6 +32,9 @@ ADDIS family (spending indexed by candidate counts; SAFFRON is tau = 1):
 
 fixed: a constant threshold, the classical baseline.
 
+``RULE_SPECS`` holds the properties of every rule; everything else reads
+them from there.
+
 Decay kernel
 ------------
 With delta < 1 the LORD rules (all but ``lord``) credit each rejection with
@@ -53,63 +56,97 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .gamma import (DEFAULT_HORIZON, DecayedGammaSequence, GammaSequence,
-                    decayed_gamma, lord_gamma, power_gamma)
+from .gamma import (DEFAULT_HORIZON, GammaSequence, decayed_gamma, lord_gamma,
+                    power_gamma)
 
-RULES = (
-    "lord",
-    "lord-decay-ramdas",
-    "lord-decay",
-    "saffron",
-    "addis",
-    "saffron-decay",
-    "addis-decay",
-    "lord-dep-decay",
-    "lord-decay-w0",
-    "addis-decay-w0",
-    "lord-dep-decay-w0",
-    "fixed",
-)
 
+@dataclass(frozen=True)
+class RuleSpec:
+    """What tells one decision rule apart from the others.
+
+    ``pre`` is the spending beside the rejection credit, which fixes the pre
+    and rejection coefficients (``_coefficients``): "classic"
+    w0 * (g_t - g_{t-rho1}), "eta" alpha*eta*gtilde_t or "w0" w0*gtilde_t.
+    """
+
+    family: str                        # "lord", "addis" or "fixed"
+    pre: Optional[str] = None          # "classic", "eta" or "w0"
+    denominator: Optional[str] = None  # oracle: "smooth" R_delta + eta,
+    #                                    or "vee" max(R_delta, 1)
+    undecayed: bool = False            # delta is forced to 1
+    lagged: bool = False               # credit delayed by the dependency lag
+    saffron: bool = False              # tau is forced to 1
+    monotone: bool = False             # see MONOTONE_LORD_RULES
+
+    @property
+    def numerator(self) -> str:
+        """'plain' spends alpha_t itself, 'indicator' spends
+        alpha_t * 1{lam < p <= tau} / (tau - lam)."""
+        return "indicator" if self.family == "addis" else "plain"
+
+    @property
+    def uses_w0(self) -> bool:
+        return self.pre in ("classic", "w0")
+
+    @property
+    def decays(self) -> bool:
+        """Whether delta is a parameter of the thresholds."""
+        return self.family != "fixed" and not self.undecayed
+
+    @property
+    def lam_tau(self) -> tuple:
+        """Default (lambda, tau) of the ADDIS family."""
+        return (0.5, 1.0) if self.saffron else (0.25, 0.5)
+
+    def default_gamma(self, horizon: int) -> GammaSequence:
+        if self.family == "addis":
+            return power_gamma(1.6, horizon)
+        return lord_gamma(horizon)
+
+    @property
+    def controller(self):
+        return _CONTROLLERS[self.family]
+
+
+#: the one source of rule properties, in the order rules are listed
+RULE_SPECS = {
+    "lord": RuleSpec("lord", "classic", "vee", undecayed=True, monotone=True),
+    "lord-decay-ramdas": RuleSpec("lord", "classic", "smooth"),
+    "lord-decay": RuleSpec("lord", "eta", "smooth", monotone=True),
+    "saffron": RuleSpec("addis", "classic", "vee", undecayed=True,
+                        saffron=True),
+    "addis": RuleSpec("addis", "classic", "vee", undecayed=True),
+    "saffron-decay": RuleSpec("addis", "eta", "smooth", saffron=True),
+    "addis-decay": RuleSpec("addis", "eta", "smooth"),
+    "lord-dep-decay": RuleSpec("lord", "eta", "smooth", lagged=True,
+                               monotone=True),
+    "lord-decay-w0": RuleSpec("lord", "w0", "vee", monotone=True),
+    "addis-decay-w0": RuleSpec("addis", "w0", "vee"),
+    "lord-dep-decay-w0": RuleSpec("lord", "w0", "vee", lagged=True,
+                                  monotone=True),
+    "fixed": RuleSpec("fixed"),
+}
+
+RULES = tuple(RULE_SPECS)
 #: rules carrying an oracle FDP estimate (everything except the fixed baseline)
-ORACLE_RULES = tuple(r for r in RULES if r != "fixed")
-
-LORD_FAMILY = frozenset({
-    "lord", "lord-decay-ramdas", "lord-decay", "lord-dep-decay",
-    "lord-decay-w0", "lord-dep-decay-w0",
-})
-ADDIS_FAMILY = frozenset({
-    "saffron", "addis", "saffron-decay", "addis-decay", "addis-decay-w0",
-})
-UNDECAYED_RULES = frozenset({"lord", "saffron", "addis"})
-DEP_RULES = frozenset({"lord-dep-decay", "lord-dep-decay-w0"})
-SAFFRON_RULES = frozenset({"saffron", "saffron-decay"})
-#: rules whose oracle denominator is the smoothed R_delta + eta
-SMOOTH_ORACLE_RULES = frozenset({
-    "lord-decay-ramdas", "lord-decay", "lord-dep-decay",
-    "saffron-decay", "addis-decay",
-})
-#: rules spending w0 before the first rejection
-W0_RULES = frozenset({
-    "lord", "lord-decay-ramdas", "saffron", "addis",
-    "lord-decay-w0", "addis-decay-w0", "lord-dep-decay-w0",
-})
+ORACLE_RULES = tuple(r for r, s in RULE_SPECS.items() if s.family != "fixed")
+LORD_FAMILY = frozenset(r for r, s in RULE_SPECS.items() if s.family == "lord")
+ADDIS_FAMILY = frozenset(r for r, s in RULE_SPECS.items()
+                         if s.family == "addis")
 #: LORD rules whose thresholds are coordinate-wise non-decreasing in the
 #: rejection indicators.  lord-decay-ramdas is excluded: its pre-rejection
 #: term w0 * delta**(t - min(rho1, t)) * gamma_t shrinks by delta**(t - rho1)
 #: once a first rejection exists, so injecting one can lower later thresholds.
-MONOTONE_LORD_RULES = frozenset({
-    "lord", "lord-decay", "lord-dep-decay",
-    "lord-decay-w0", "lord-dep-decay-w0",
-})
+MONOTONE_LORD_RULES = frozenset(r for r, s in RULE_SPECS.items() if s.monotone)
 
 SNAPSHOT_FORMAT = "streamfdr-controller-state"
 SNAPSHOT_VERSION = 1
@@ -124,19 +161,13 @@ _CHUNK = 1 << 16
 _DENSE = 8
 
 
-def oracle_denominator_kind(rule: str) -> str:
-    """'smooth' for R_delta + eta denominators, 'vee' for max(R_delta, 1)."""
-    if rule not in ORACLE_RULES:
-        raise ValueError(f"rule {rule!r} has no oracle")
-    return "smooth" if rule in SMOOTH_ORACLE_RULES else "vee"
-
-
-def oracle_numerator_kind(rule: str) -> str:
-    """'plain' spends alpha_t itself, 'indicator' spends
-    alpha_t * 1{lam < p <= tau} / (tau - lam)."""
-    if rule not in ORACLE_RULES:
-        raise ValueError(f"rule {rule!r} has no oracle")
-    return "indicator" if rule in ADDIS_FAMILY else "plain"
+def rule_spec(rule: str) -> RuleSpec:
+    """The table row of ``rule``; ValueError for an unknown rule."""
+    spec = RULE_SPECS.get(rule)
+    if spec is None:
+        raise ValueError(
+            f"unknown rule {rule!r}; expected one of {', '.join(RULES)}")
+    return spec
 
 
 @dataclass(slots=True)
@@ -150,31 +181,40 @@ class Decision:
     floor_active: bool
 
 
-def threshold_floor(config: "ControllerConfig") -> float:
+def _coefficients(config: "ControllerConfig") -> tuple:
+    """(pre, rejection) coefficients, fixed by the pre-rejection form."""
+    if config.spec.pre == "eta":
+        return config.alpha * config.eta, config.alpha
+    if config.spec.pre == "w0":
+        return config.w0, config.alpha - config.w0
+    return config.w0, config.alpha
+
+
+def threshold_floor(config: "ControllerConfig", tilde=None) -> float:
     """Analytic pointwise lower bound on the rule's thresholds (0 if none).
 
     Decay rules with a gtilde floor can never drop below it, no matter how
-    long ago the last rejection happened; the undecayed classics decay to 0.
+    long ago the last rejection happened; the classic pre-rejection form
+    decays to 0.  A caller already holding the rule's gtilde passes it as
+    ``tilde``, which saves rebuilding a custom one.
     """
-    rule = config.rule
-    if rule == "fixed":
+    spec = config.spec
+    if spec.family == "fixed":
         return config.alpha
-    if rule in ("lord", "lord-decay-ramdas", "saffron", "addis"):
+    if spec.pre == "classic":
         return 0.0
-    tilde = decayed_gamma(config.gamma, config.delta)
-    if rule in ("lord-decay", "lord-dep-decay"):
-        return config.alpha * config.eta * tilde.floor
-    if rule in ("lord-decay-w0", "lord-dep-decay-w0"):
-        return config.w0 * tilde.floor
-    span = config.tau - config.lam
-    if rule in ("saffron-decay", "addis-decay"):
-        return min(config.alpha * config.eta * span * tilde.floor, config.lam)
-    return min(span * config.w0 * tilde.floor, config.lam)  # addis-decay-w0
+    if tilde is None:
+        tilde = decayed_gamma(config.gamma, config.delta)
+    coef = _coefficients(config)[0]
+    if spec.family == "addis":
+        coef *= config.tau - config.lam
+    floor = coef * tilde.floor
+    return min(floor, config.lam) if spec.family == "addis" else floor
 
 
 def rescale_factor(config: "ControllerConfig") -> float:
     """Feasibility rescale applied to gtilde (1.0 when none was needed)."""
-    if config.rule in UNDECAYED_RULES or config.rule == "fixed":
+    if not config.spec.decays:
         return 1.0
     return decayed_gamma(config.gamma, config.delta).rescale
 
@@ -183,11 +223,11 @@ def rescale_factor(config: "ControllerConfig") -> float:
 class ControllerConfig:
     """Resolved parameters for one decision rule.
 
-    Unset fields take per-rule defaults: delta=0.99 for decay rules (forced
-    to 1 for the undecayed classics), w0=alpha/2, lam=1/2 and tau=1 for
-    SAFFRON rules, lam=1/4 and tau=1/2 for ADDIS rules, the log-based gamma
-    sequence for the LORD family and the power-law (s=1.6) one for the
-    ADDIS family.
+    Unset fields take per-rule defaults from ``RULE_SPECS``: delta=0.99 for
+    decay rules (forced to 1 for the undecayed classics), w0=alpha/2, lam=1/2
+    and tau=1 for SAFFRON rules, lam=1/4 and tau=1/2 for ADDIS rules, the
+    log-based gamma sequence for the LORD family and the power-law (s=1.6)
+    one for the ADDIS family.
     """
 
     rule: str
@@ -204,13 +244,15 @@ class ControllerConfig:
     lag_decay_exponent: bool = False
     horizon: int = DEFAULT_HORIZON
 
+    @property
+    def spec(self) -> RuleSpec:
+        return RULE_SPECS[self.rule]
+
     def __post_init__(self):
-        if self.rule not in RULES:
-            raise ValueError(
-                f"unknown rule {self.rule!r}; expected one of {', '.join(RULES)}")
+        spec = rule_spec(self.rule)
         if self.prune_epsilon < 0.0:
             raise ValueError("prune_epsilon must be nonnegative")
-        if self.rule == "fixed":
+        if spec.family == "fixed":
             # alpha doubles as the constant threshold; the closed endpoints
             # are meaningful degenerate baselines (reject nothing/everything)
             if not 0.0 <= self.alpha <= 1.0:
@@ -220,7 +262,7 @@ class ControllerConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
 
-        if self.rule in UNDECAYED_RULES:
+        if spec.undecayed:
             if self.delta is not None and self.delta != 1.0:
                 warnings.warn(
                     f"delta={self.delta} is ignored by undecayed rule "
@@ -235,31 +277,26 @@ class ControllerConfig:
 
         if self.w0 is None:
             self.w0 = self.alpha / 2.0
-        if self.rule in W0_RULES and not 0.0 < self.w0 < self.alpha:
+        if spec.uses_w0 and not 0.0 < self.w0 < self.alpha:
             raise ValueError("w0 must lie in (0, alpha)")
-        if self.rule == "lord-decay-ramdas" and self.w0 > self.alpha * self.eta:
+        if (spec.uses_w0 and spec.denominator == "smooth"
+                and self.w0 > self.alpha * self.eta):
             warnings.warn(
-                "lord-decay-ramdas certifies its oracle bound only for "
+                f"{self.rule} certifies its oracle bound only for "
                 "w0 <= alpha*eta; the configured w0 exceeds it")
 
-        if self.rule in ADDIS_FAMILY:
+        if spec.family == "addis":
             if (self.lam is not None and self.tau is not None
                     and self.lam >= self.tau):
                 raise ValueError(
                     f"tau must exceed lambda (got lambda={self.lam}, "
                     f"tau={self.tau})")
-            if self.rule in SAFFRON_RULES:
-                if self.tau is not None and self.tau != 1.0:
-                    warnings.warn(
-                        f"tau={self.tau} is ignored by {self.rule!r}; forcing tau=1")
-                self.tau = 1.0
-                if self.lam is None:
-                    self.lam = 0.5
-            else:
-                if self.lam is None:
-                    self.lam = 0.25
-                if self.tau is None:
-                    self.tau = 0.5
+            if spec.saffron and self.tau not in (None, 1.0):
+                warnings.warn(
+                    f"tau={self.tau} is ignored by {self.rule!r}; forcing tau=1")
+            lam, tau = spec.lam_tau
+            self.lam = lam if self.lam is None else self.lam
+            self.tau = tau if self.tau is None or spec.saffron else self.tau
             if not 0.0 <= self.lam < self.tau <= 1.0:
                 raise ValueError(
                     f"tau must exceed lambda with 0 <= lambda < tau <= 1 "
@@ -271,7 +308,7 @@ class ControllerConfig:
             self.lam = None
             self.tau = None
 
-        if self.rule in DEP_RULES:
+        if spec.lagged:
             if self.lag < 0:
                 raise ValueError("dependency lag must be nonnegative")
         else:
@@ -284,31 +321,17 @@ class ControllerConfig:
                 self.lag_decay_exponent = False
 
         if self.gamma is None:
-            if self.rule in ADDIS_FAMILY:
-                self.gamma = power_gamma(1.6, self.horizon)
-            else:
-                self.gamma = lord_gamma(self.horizon)
+            self.gamma = spec.default_gamma(self.horizon)
         else:
             self.horizon = self.gamma.horizon
 
     def scalar_params(self) -> dict:
         """Scalar parameters only; used for manifests and snapshot checks."""
-        return {
-            "rule": self.rule,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "eta": self.eta,
-            "w0": self.w0,
-            "lam": self.lam,
-            "tau": self.tau,
-            "lag": self.lag,
-            "dependence_correction": self.dependence_correction,
-            "prune_epsilon": self.prune_epsilon,
-            "lag_decay_exponent": self.lag_decay_exponent,
-            "gamma_kind": None if self.gamma is None else self.gamma.kind,
-            "gamma_param": None if self.gamma is None else self.gamma.param,
-            "horizon": self.horizon,
-        }
+        params = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name != "gamma"}
+        params["gamma_kind"] = None if self.gamma is None else self.gamma.kind
+        params["gamma_param"] = None if self.gamma is None else self.gamma.param
+        return params
 
 
 def _power_runs(value: float, delta: float):
@@ -371,11 +394,39 @@ def _powers_at(table: np.ndarray, delta: float, ages: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check(ok, problem: str):
+    """Raise for a snapshot field that fails a check (see ``restore``)."""
+    if not ok:
+        raise ValueError(problem)
+
+
 class _BaseController:
-    """Shared bookkeeping: step counter, oracle accumulators, buffers."""
+    """Shared bookkeeping, the step loop and snapshots.
+
+    A family supplies ``_raw(t)``, its threshold at step t before the
+    dependence correction and the clip at 1, and ``_advance(t, p, rejected)``,
+    its bookkeeping after the decision, which runs after every rejection and
+    at every step from ``_due`` on.  ``_extra_state`` and ``_load_extra``
+    carry its own snapshot fields.
+    """
+
+    family: str = ""
 
     def __init__(self, config: ControllerConfig):
+        spec = config.spec
+        if spec.family != self.family:
+            raise ValueError(
+                f"{type(self).__name__} cannot run rule {config.rule!r}")
         self.config = config
+        self._gamma = config.gamma
+        self._tilde = (decayed_gamma(config.gamma, config.delta)
+                       if spec.pre in ("eta", "w0") else None)
+        self._floor = threshold_floor(config, self._tilde)
+        self._smooth = spec.denominator == "smooth"
+        self._indicator = spec.numerator == "indicator"
+        self._pre_coef, self._rej_coef = _coefficients(config)
+        if self._indicator:
+            self._span = config.tau - config.lam
         self._t = 0
         self._rcount = 0
         self._dspend = 0.0   # discounted oracle numerator
@@ -387,6 +438,8 @@ class _BaseController:
         self._k = 0
         #: per-rejection arrays, kept parallel to the rejection times _rho
         self._columns = ("_rho", "_decay")
+        #: the next step whose bookkeeping must run without a rejection
+        self._due = 0
 
     @property
     def t(self) -> int:
@@ -399,7 +452,12 @@ class _BaseController:
 
     def rejection_times(self) -> list[int]:
         """Times of the rejections still held in state (pruned ones dropped)."""
+        self._prune(self._t)
         return self._rho[self._live()].tolist()
+
+    def _prune(self, now: int):
+        """Drop rejection terms that no longer count at ``now``; families
+        that prune as they step have nothing left to drop."""
 
     def _live(self):
         return slice(self._start, self._start + self._k)
@@ -420,11 +478,41 @@ class _BaseController:
         self._k += 1
         return i
 
-    def _check_p(self, p: float) -> float:
+    def step(self, p) -> Decision:
         p = float(p)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p-value must lie in [0, 1], got {p!r}")
-        return p
+        cfg = self.config
+        delta = cfg.delta
+        t = self._t + 1
+        threshold = self._raw(t)
+        floor = self._floor
+        if cfg.dependence_correction:
+            self._q += 1.0 / t
+            threshold /= self._q
+            floor /= self._q
+        if threshold > 1.0:
+            threshold = 1.0
+        rejected = p <= threshold
+
+        if self._indicator:
+            spend = threshold / self._span if cfg.lam < p <= cfg.tau else 0.0
+        else:
+            spend = threshold
+        self._dspend = delta * self._dspend + spend
+        self._rdelta = delta * self._rdelta + (1.0 if rejected else 0.0)
+        if self._smooth:
+            oracle = self._dspend / (self._rdelta + cfg.eta)
+        else:
+            oracle = self._dspend / max(self._rdelta, 1.0)
+
+        self._t = t
+        if rejected:
+            self._rcount += 1
+            self._advance(t, p, rejected)
+        elif t >= self._due:
+            self._advance(t, p, rejected)
+        return Decision(t, threshold, rejected, oracle, threshold <= floor)
 
     def run(self, pvalues) -> list[Decision]:
         """Process a whole sequence, returning one Decision per element."""
@@ -470,7 +558,13 @@ class _BaseController:
     def _decay_weights(self) -> list[float]:
         return self._decay[self._live()].tolist()
 
-    def _snapshot_common(self) -> dict:
+    def _extra_state(self) -> dict:
+        return {}
+
+    def _load_extra(self, snap: dict):
+        pass
+
+    def _snapshot_dict(self) -> dict:
         return {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
@@ -482,23 +576,53 @@ class _BaseController:
             "decayed_spend": self._dspend,
             "decayed_rejections": self._rdelta,
             "harmonic_q": self._q,
+            **self._extra_state(),
         }
 
     def snapshot(self) -> str:
         """Serialize state to versioned plain text (JSON); exact round trip."""
         return json.dumps(self._snapshot_dict(), sort_keys=True)
 
-    def _restore_common(self, snap: dict):
-        if snap.get("format") != SNAPSHOT_FORMAT:
+    @classmethod
+    def restore(cls, config: ControllerConfig, text: str):
+        """Rebuild a controller from ``snapshot()`` text, checking it first."""
+        snap = json.loads(text)
+        if not isinstance(snap, dict) or snap.get("format") != SNAPSHOT_FORMAT:
             raise ValueError("not a controller state snapshot")
         if snap.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {snap.get('version')!r}")
-        if snap["params"] != self.config.scalar_params():
+        if snap.get("params") != config.scalar_params():
             raise ValueError("snapshot was produced under a different configuration")
+        ctrl = cls(config)
+        try:
+            ctrl._load(snap)
+        except KeyError as exc:
+            raise ValueError(f"corrupt snapshot: missing field {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"corrupt snapshot: {exc}") from None
+        return ctrl
+
+    def _load(self, snap: dict):
         times = np.asarray(snap["rejection_times"], dtype=np.int64)
         weights = np.asarray(snap["decay_weights"], dtype=np.float64)
-        if times.size != weights.size:
-            raise ValueError("corrupt snapshot: mismatched state arrays")
+        t = int(snap["t"])
+        rcount = int(snap["rejection_count"])
+        sums = [float(snap[k]) for k in ("decayed_spend", "decayed_rejections",
+                                         "harmonic_q")]
+        _check(times.ndim == 1 and times.shape == weights.shape,
+               "mismatched state arrays")
+        _check(0 <= rcount <= t, "rejection count outside 0..t")
+        _check(rcount >= times.size,
+               "fewer rejections counted than rejection times held")
+        _check(times.size == 0 or (times[0] >= 1 and times[-1] <= t
+                                   and bool(np.all(np.diff(times) > 0))),
+               "rejection times must increase strictly within 1..t")
+        # without pruning, old decay weights may have underflowed to 0
+        low = weights >= 0.0 if self.config.prune_epsilon == 0.0 else weights > 0.0
+        _check(bool(np.all(low & (weights <= 1.0))),
+               "decay weights must lie in (0, 1]")
+        _check(all(math.isfinite(x) and x >= 0.0 for x in sums),
+               "oracle sums must be finite and nonnegative")
         size = max(64, int(times.size))
         self._rho = np.zeros(size, dtype=np.int64)
         self._rho[:times.size] = times
@@ -507,11 +631,10 @@ class _BaseController:
             self._decay[:times.size] = weights
         self._start = 0
         self._k = int(times.size)
-        self._t = int(snap["t"])
-        self._rcount = int(snap["rejection_count"])
-        self._dspend = float(snap["decayed_spend"])
-        self._rdelta = float(snap["decayed_rejections"])
-        self._q = float(snap["harmonic_q"])
+        self._t = t
+        self._rcount = rcount
+        self._dspend, self._rdelta, self._q = sums
+        self._load_extra(snap)
 
 
 class LordController(_BaseController):
@@ -522,29 +645,12 @@ class LordController(_BaseController):
     rejection terms.
     """
 
+    family = "lord"
+
     def __init__(self, config: ControllerConfig):
-        if config.rule not in LORD_FAMILY:
-            raise ValueError(f"rule {config.rule!r} is not in the LORD family")
         super().__init__(config)
-        self._gamma = config.gamma
         self._rho1: Optional[int] = None
         self._decay1 = 0.0
-        rule = config.rule
-        self._smooth = rule in SMOOTH_ORACLE_RULES
-        self._classic_pre = rule in ("lord", "lord-decay-ramdas")
-        if self._classic_pre:
-            self._tilde = None
-            self._floor = 0.0
-            self._rej_coef = config.alpha
-        else:
-            self._tilde = decayed_gamma(config.gamma, config.delta)
-            if rule in ("lord-decay", "lord-dep-decay"):
-                self._pre_coef = config.alpha * config.eta
-                self._rej_coef = config.alpha
-            else:  # the w0-spending variants
-                self._pre_coef = config.w0
-                self._rej_coef = config.alpha - config.w0
-            self._floor = self._pre_coef * self._tilde.floor
         self._lag = config.lag
         self._kernel = None
         if config.delta != 1.0:
@@ -564,79 +670,56 @@ class LordController(_BaseController):
         self._kernel = kernel   # credit of one rejection u = 0..n steps later
         self._buf = np.zeros(_BLOCK, dtype=np.float64)
         self._base = 0
+        self._due = _BLOCK
         self._decay = None
         self._columns = ("_rho",)
 
-    def _pre(self, t: int) -> float:
-        """The part of alpha_t that is not rejection credit."""
-        if self._classic_pre:
-            gt = self._gamma.weight(t)
-            if self._rho1 is None:
-                return self.config.w0 * gt
-            d1 = self._decay1
-            g1 = self._gamma.weight(t - self._rho1)
-            return self.config.w0 * (d1 * gt - d1 * g1)
-        return self._pre_coef * self._tilde.weight(t)
+    def _classic_pre(self, t: int) -> float:
+        """The classic spending beside the rejection credit at time t."""
+        gt = self._gamma.weight(t)
+        if self._rho1 is None:
+            return self._pre_coef * gt
+        d1 = self._decay1
+        g1 = self._gamma.weight(t - self._rho1)
+        return self._pre_coef * (d1 * gt - d1 * g1)
 
     def _pre_many(self, times: np.ndarray, d1) -> np.ndarray:
-        """``_pre`` for consecutive times, d1 holding the first rejection's
-        decay weight at each of them."""
-        if self._classic_pre:
-            gt = self._gamma.weights(times)
-            if self._rho1 is None:
-                return self.config.w0 * gt
-            g1 = self._gamma.weights(times - self._rho1)
-            return self.config.w0 * (d1 * gt - d1 * g1)
-        return self._pre_coef * self._tilde.weights(times)
+        """The spending beside the rejection credit at consecutive times, d1
+        holding the first rejection's decay weight at each of them."""
+        if self._tilde is not None:
+            return self._pre_coef * self._tilde.weights(times)
+        gt = self._gamma.weights(times)
+        if self._rho1 is None:
+            return self._pre_coef * gt
+        g1 = self._gamma.weights(times - self._rho1)
+        return self._pre_coef * (d1 * gt - d1 * g1)
 
-    def _threshold(self, t: int) -> float:
-        """alpha_t of the undecayed form (delta = 1), before correction and clip."""
-        if self._k:
-            live = self._live()
-            idx = t - self._rho[live]
-            if self._lag:
-                idx = idx - self._lag
-            s = float(np.dot(self._decay[live], self._gamma.weights(idx)))
-        else:
-            s = 0.0
-        return self._pre(t) + self._rej_coef * s
-
-    def step(self, p) -> Decision:
-        p = self._check_p(p)
-        cfg = self.config
-        delta = cfg.delta
-        t = self._t + 1
+    def _raw(self, t: int) -> float:
         if self._kernel is None:
-            threshold = self._threshold(t)
+            if self._k:
+                live = self._live()
+                idx = t - self._rho[live]
+                if self._lag:
+                    idx = idx - self._lag
+                s = float(np.dot(self._decay[live], self._gamma.weights(idx)))
+            else:
+                s = 0.0
+            credit = self._rej_coef * s
         else:
             if self._rho1 is not None:
-                self._decay1 *= delta
-            threshold = self._pre(t) + float(self._buf[t - self._base - 1])
-        floor = self._floor
-        if cfg.dependence_correction:
-            self._q += 1.0 / t
-            threshold /= self._q
-            floor /= self._q
-        if threshold > 1.0:
-            threshold = 1.0
-        rejected = p <= threshold
+                self._decay1 *= self.config.delta
+            credit = float(self._buf[t - self._base - 1])
+        if self._tilde is None:
+            return self._classic_pre(t) + credit
+        return self._pre_coef * self._tilde.weight(t) + credit
 
-        self._dspend = delta * self._dspend + threshold
-        self._rdelta = delta * self._rdelta + (1.0 if rejected else 0.0)
-        if self._smooth:
-            oracle = self._dspend / (self._rdelta + cfg.eta)
-        else:
-            oracle = self._dspend / max(self._rdelta, 1.0)
-
-        self._t = t
+    def _advance(self, t: int, p: float, rejected: bool):
         if rejected:
-            self._rcount += 1
             self._record_rejection(t)
         if self._kernel is None:
             self._prune_undecayed(t)
-        elif t == self._base + _BLOCK:
+        elif t == self._due:
             self._refill(t)
-        return Decision(t, threshold, rejected, oracle, threshold <= floor)
 
     def _record_rejection(self, t: int):
         i = self._append_rejection(t)
@@ -672,7 +755,7 @@ class LordController(_BaseController):
 
     def _prune(self, now: int):
         """Drop the rejections whose kernel ended by ``now``."""
-        if self._prune_age is not None and self._k:
+        if self._kernel is not None and self._prune_age is not None and self._k:
             live = self._rho[self._live()]
             drop = int(np.searchsorted(live, now - self._prune_age, side="right"))
             self._start += drop
@@ -688,6 +771,7 @@ class LordController(_BaseController):
         """
         self._prune(base)
         self._base = base
+        self._due = base + _BLOCK
         self._buf.fill(0.0)
         live = self._rho[self._live()]
         first = int(np.searchsorted(live, base + 1 - (self._kernel.size - 1)))
@@ -773,11 +857,6 @@ class LordController(_BaseController):
 
     # -- snapshots -----------------------------------------------------------
 
-    def rejection_times(self) -> list[int]:
-        if self._kernel is not None:
-            self._prune(self._t)
-        return self._rho[self._live()].tolist()
-
     def _decay_weights(self) -> list[float]:
         if self._kernel is None:
             return super()._decay_weights()
@@ -785,23 +864,19 @@ class LordController(_BaseController):
         ages = self._t - self._rho[self._live()]
         return _powers_at(self._powers, self.config.delta, ages).tolist()
 
-    def _snapshot_dict(self) -> dict:
-        snap = self._snapshot_common()
-        snap["first_rejection_time"] = self._rho1
-        snap["first_decay_weight"] = self._decay1
-        return snap
+    def _extra_state(self) -> dict:
+        return {"first_rejection_time": self._rho1,
+                "first_decay_weight": self._decay1}
 
-    @classmethod
-    def restore(cls, config: ControllerConfig, text: str) -> "LordController":
-        ctrl = cls(config)
-        snap = json.loads(text)
-        ctrl._restore_common(snap)
+    def _load_extra(self, snap: dict):
         rho1 = snap.get("first_rejection_time")
-        ctrl._rho1 = None if rho1 is None else int(rho1)
-        ctrl._decay1 = float(snap.get("first_decay_weight", 0.0))
-        if ctrl._kernel is not None:
-            ctrl._refill(ctrl._t)
-        return ctrl
+        self._rho1 = None if rho1 is None else int(rho1)
+        self._decay1 = float(snap.get("first_decay_weight", 0.0))
+        _check(self._rho1 is None or 1 <= self._rho1 <= self._t,
+               "first rejection time outside 1..t")
+        _check(0.0 <= self._decay1 <= 1.0, "first decay weight outside [0, 1]")
+        if self._kernel is not None:
+            self._refill(self._t)
 
 
 class AddisController(_BaseController):
@@ -813,80 +888,41 @@ class AddisController(_BaseController):
     on the step after each rejection (S_0 exists from the start).
     """
 
+    family = "addis"
+
     def __init__(self, config: ControllerConfig):
-        if config.rule not in ADDIS_FAMILY:
-            raise ValueError(f"rule {config.rule!r} is not in the ADDIS family")
         super().__init__(config)
-        self._gamma = config.gamma
         self._scount = np.zeros(64, dtype=np.int64)
         self._columns = ("_rho", "_decay", "_scount")
         self._s0 = 1
         self._s1 = 0
-        rule = config.rule
-        self._smooth = rule in SMOOTH_ORACLE_RULES
-        self._variant = ("plain" if rule in ("saffron", "addis")
-                         else "smooth" if self._smooth else "w0")
-        span = config.tau - config.lam
-        if self._variant == "plain":
-            self._tilde = None
-            self._floor = 0.0
-        else:
-            self._tilde = decayed_gamma(config.gamma, config.delta)
-            if self._variant == "smooth":
-                base = config.alpha * config.eta * span * self._tilde.floor
-            else:
-                base = span * config.w0 * self._tilde.floor
-            self._floor = min(base, config.lam)
+        self._pre = config.spec.pre
 
-    def _threshold(self, t: int) -> float:
+    def _raw(self, t: int) -> float:
         cfg = self.config
-        span = cfg.tau - cfg.lam
         if self._k:
             live = self._live()
+            if cfg.delta != 1.0:
+                self._decay[live] *= cfg.delta
             s = float(np.dot(self._decay[live],
                              self._gamma.weights(self._scount[live])))
         else:
             s = 0.0
-        if self._variant == "plain":
-            raw = span * (cfg.w0 * (self._gamma.weight(self._s0)
-                                    - self._gamma.weight(self._s1))
-                          + cfg.alpha * s)
-        elif self._variant == "smooth":
+        span = self._span
+        if self._pre == "eta":
             raw = cfg.alpha * span * (cfg.eta * self._tilde.weight(self._s0) + s)
         else:
-            raw = span * (cfg.w0 * self._tilde.weight(self._s0)
-                          + (cfg.alpha - cfg.w0) * s)
+            if self._tilde is None:
+                head = (self._gamma.weight(self._s0)
+                        - self._gamma.weight(self._s1))
+            else:
+                head = self._tilde.weight(self._s0)
+            raw = span * (self._pre_coef * head + self._rej_coef * s)
         return min(raw, cfg.lam)
 
-    def step(self, p) -> Decision:
-        p = self._check_p(p)
+    def _advance(self, t: int, p: float, rejected: bool):
         cfg = self.config
-        delta = cfg.delta
-        t = self._t + 1
-        if delta != 1.0 and self._k:
-            self._decay[self._live()] *= delta
-        threshold = self._threshold(t)
-        floor = self._floor
-        if cfg.dependence_correction:
-            self._q += 1.0 / t
-            threshold /= self._q
-            floor /= self._q
-        if threshold > 1.0:
-            threshold = 1.0
-        rejected = p <= threshold
-        candidate = cfg.lam < p <= cfg.tau
-
-        spend = threshold / (cfg.tau - cfg.lam) if candidate else 0.0
-        self._dspend = delta * self._dspend + spend
-        self._rdelta = delta * self._rdelta + (1.0 if rejected else 0.0)
-        if rejected:
-            self._rcount += 1
-        if self._smooth:
-            oracle = self._dspend / (self._rdelta + cfg.eta)
-        else:
-            oracle = self._dspend / max(self._rdelta, 1.0)
-
-        if candidate:
+        if cfg.lam < p <= cfg.tau:
             self._s0 += 1
             if self._s1:
                 self._s1 += 1
@@ -900,7 +936,7 @@ class AddisController(_BaseController):
                 self._s1 = 1
         eps = cfg.prune_epsilon
         if eps > 0.0 and self._k:
-            if delta != 1.0:
+            if cfg.delta != 1.0:
                 while self._k and self._decay[self._start] < eps:
                     self._start += 1
                     self._k -= 1
@@ -909,41 +945,33 @@ class AddisController(_BaseController):
                         int(self._scount[self._start])) < eps:
                     self._start += 1
                     self._k -= 1
-        self._t = t
-        return Decision(t, threshold, rejected, oracle, threshold <= floor)
 
-    def _snapshot_dict(self) -> dict:
-        snap = self._snapshot_common()
-        snap["candidate_counters"] = self._scount[self._live()].tolist()
-        snap["s0"] = self._s0
-        snap["s1"] = self._s1
-        return snap
+    def _extra_state(self) -> dict:
+        return {"candidate_counters": self._scount[self._live()].tolist(),
+                "s0": self._s0, "s1": self._s1}
 
-    @classmethod
-    def restore(cls, config: ControllerConfig, text: str) -> "AddisController":
-        ctrl = cls(config)
-        snap = json.loads(text)
-        ctrl._restore_common(snap)
+    def _load_extra(self, snap: dict):
         counters = np.asarray(snap["candidate_counters"], dtype=np.int64)
-        if counters.size != ctrl._k:
-            raise ValueError("corrupt snapshot: mismatched state arrays")
-        ctrl._scount = np.zeros(ctrl._rho.size, dtype=np.int64)
-        ctrl._scount[:counters.size] = counters
-        ctrl._s0 = int(snap["s0"])
-        ctrl._s1 = int(snap["s1"])
-        return ctrl
+        _check(counters.shape == (self._k,), "mismatched state arrays")
+        self._s0 = int(snap["s0"])
+        self._s1 = int(snap["s1"])
+        _check(1 <= self._s0 <= self._t + 1 and 0 <= self._s1 <= self._s0,
+               "candidate counts s0, s1 out of range")
+        _check(bool(np.all((counters >= 1) & (counters <= self._s1))),
+               "candidate counters outside 1..s1")
+        self._scount = np.zeros(self._rho.size, dtype=np.int64)
+        self._scount[:counters.size] = counters
 
 
 class FixedThresholdController(_BaseController):
     """Constant-threshold baseline; alpha doubles as the threshold c."""
 
-    def __init__(self, config: ControllerConfig):
-        if config.rule != "fixed":
-            raise ValueError("FixedThresholdController requires rule='fixed'")
-        super().__init__(config)
+    family = "fixed"
 
     def step(self, p) -> Decision:
-        p = self._check_p(p)
+        p = float(p)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p-value must lie in [0, 1], got {p!r}")
         t = self._t + 1
         threshold = self.config.alpha
         rejected = p <= threshold
@@ -953,29 +981,16 @@ class FixedThresholdController(_BaseController):
         self._t = t
         return Decision(t, threshold, rejected, float("nan"), False)
 
-    def _snapshot_dict(self) -> dict:
-        return self._snapshot_common()
 
-    @classmethod
-    def restore(cls, config: ControllerConfig, text: str) -> "FixedThresholdController":
-        ctrl = cls(config)
-        ctrl._restore_common(json.loads(text))
-        return ctrl
+_CONTROLLERS = {"lord": LordController, "addis": AddisController,
+                "fixed": FixedThresholdController}
 
 
 def make_controller(config: ControllerConfig):
     """Instantiate the controller class matching ``config.rule``."""
-    if config.rule in LORD_FAMILY:
-        return LordController(config)
-    if config.rule in ADDIS_FAMILY:
-        return AddisController(config)
-    return FixedThresholdController(config)
+    return config.spec.controller(config)
 
 
 def restore_controller(config: ControllerConfig, text: str):
     """Rebuild a controller from a snapshot produced under ``config``."""
-    if config.rule in LORD_FAMILY:
-        return LordController.restore(config, text)
-    if config.rule in ADDIS_FAMILY:
-        return AddisController.restore(config, text)
-    return FixedThresholdController.restore(config, text)
+    return config.spec.controller.restore(config, text)

@@ -76,7 +76,8 @@ class GammaSequence:
             self.norm_const = 1.0
             table = np.asarray(raw, dtype=np.float64)
         # padded[i] = gamma_i for 1 <= i <= H; index 0 and H+1 hold the
-        # out-of-range value 0, so lookups can clip instead of branch.
+        # out-of-range value 0, so lookups can clip instead of branch
+        # (np.minimum/np.maximum: np.clip costs several times more per call).
         padded = np.zeros(self.horizon + 2, dtype=np.float64)
         padded[1:-1] = table
         self.table = table
@@ -92,7 +93,7 @@ class GammaSequence:
 
     def weights(self, idx: np.ndarray) -> np.ndarray:
         """gamma_idx for an integer array, mapping out-of-range indices to 0."""
-        return self._padded[np.clip(idx, 0, self.horizon + 1)]
+        return self._padded[np.minimum(np.maximum(idx, 0), self.horizon + 1)]
 
     def __repr__(self):
         p = "" if self.param is None else f", param={self.param}"
@@ -193,7 +194,8 @@ class DecayedGammaSequence:
         return float(self.table[t - 1])
 
     def weights(self, idx: np.ndarray) -> np.ndarray:
-        return self._padded[np.clip(idx, 0, self.base.horizon + 1)]
+        return self._padded[np.minimum(np.maximum(idx, 0),
+                                       self.base.horizon + 1)]
 
     def __repr__(self):
         return (f"DecayedGammaSequence(base={self.base!r}, delta={self.delta}, "

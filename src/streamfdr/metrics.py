@@ -1,9 +1,10 @@
 """Evaluation quantities and the independent oracle/surplus verifier.
 
-The accumulator tracks both plain counts (rejections R, false positives V)
-and their exponentially discounted versions R_delta, V_delta, maintained
-through the exact recurrence X <- delta * X + increment.  From these it
-derives the three false-discovery proportions reported everywhere:
+``summarize_log`` reports plain counts (rejections R, false positives V)
+and their exponentially discounted versions R_delta, V_delta, the sums
+X(T) = sum_{t<=T} delta**(T-t) * x_t of the exact recurrence
+X <- delta * X + x_t.  From these it derives the three false-discovery
+proportions reported everywhere:
 
     FDP        = V / max(R, 1)
     FDP_delta  = V_delta / max(R_delta, 1)
@@ -25,7 +26,6 @@ prefix is recomputed from raw arrays (quadratic, the honest brute force);
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,19 +34,6 @@ from scipy.signal import lfilter
 
 from . import controllers
 from .controllers import ControllerConfig
-
-
-@dataclass(slots=True)
-class StreamRecord:
-    """One observation: 1-based index, p-value, optional ground truth.
-
-    ``is_null`` is True when the index is truly null (not an anomaly);
-    None when unlabeled.
-    """
-
-    index: int
-    p_value: float
-    is_null: Optional[bool] = None
 
 
 @dataclass
@@ -72,88 +59,13 @@ def run_log(controller, pvalues, is_null=None) -> DecisionLog:
                        is_null=labels)
 
 
-class MetricsAccumulator:
-    """Running counts over a labeled stream; one owner, strictly sequential."""
-
-    def __init__(self, delta: float = 0.99, eta: float = 1.0):
-        if not 0.0 < delta <= 1.0:
-            raise ValueError("delta must lie in (0, 1]")
-        if eta <= 0.0:
-            raise ValueError("eta must be positive")
-        self.delta = delta
-        self.eta = eta
-        self.steps = 0
-        self.rejections = 0
-        self.false_positives = 0
-        self.r_delta = 0.0
-        self.v_delta = 0.0
-        self.alternatives = 0
-        self.true_positives = 0
-        self._labeled = True
-
-    def update(self, record: StreamRecord, decision) -> "MetricsAccumulator":
-        if record.index != self.steps + 1:
-            raise ValueError(
-                f"out-of-order stream record: expected index {self.steps + 1}, "
-                f"got {record.index}")
-        r = 1.0 if decision.rejected else 0.0
-        null = record.is_null
-        if null is None:
-            self._labeled = False
-        self.r_delta = self.delta * self.r_delta + r
-        self.v_delta = self.delta * self.v_delta + (r if null else 0.0)
-        self.rejections += decision.rejected
-        if null is not None:
-            if null:
-                self.false_positives += decision.rejected
-            else:
-                self.alternatives += 1
-                self.true_positives += decision.rejected
-        self.steps += 1
-        return self
-
-    def _require_labels(self):
-        if not self._labeled:
-            raise ValueError("stream was not fully labeled")
-
-    def fdp_variants(self) -> dict:
-        """FDP, FDP_delta and sFDP_delta at the current step."""
-        self._require_labels()
-        return {
-            "fdp": self.false_positives / max(self.rejections, 1),
-            "fdp_delta": self.v_delta / max(self.r_delta, 1.0),
-            "sfdp_delta": self.v_delta / (self.r_delta + self.eta),
-        }
-
-    def power_precision(self) -> dict:
-        """Recall over true anomalies and 1 - FDP.
-
-        Power is defined as 0 when the stream contains no alternatives so
-        that sweep tables stay total; that convention is flagged through
-        the ``degenerate_power`` key.
-        """
-        self._require_labels()
-        degenerate = self.alternatives == 0
-        power = 0.0 if degenerate else self.true_positives / self.alternatives
-        precision = 1.0 - self.false_positives / max(self.rejections, 1)
-        return {"power": power, "precision": precision,
-                "degenerate_power": degenerate}
-
-
 def mfdr_estimate(summaries, eta: float = 1.0) -> float:
-    """mean(V_delta) / (mean(R_delta) + eta) across replication summaries.
-
-    Accepts an iterable of (v_delta, r_delta) pairs or of accumulators.
-    """
+    """mean(V_delta) / (mean(R_delta) + eta) across replication summaries,
+    given as (v_delta, r_delta) pairs."""
     vs, rs = [], []
-    for item in summaries:
-        if isinstance(item, MetricsAccumulator):
-            vs.append(item.v_delta)
-            rs.append(item.r_delta)
-        else:
-            v, r = item
-            vs.append(float(v))
-            rs.append(float(r))
+    for v, r in summaries:
+        vs.append(float(v))
+        rs.append(float(r))
     if not vs:
         raise ValueError("mfdr_estimate needs at least one replication")
     return float(np.mean(vs) / (np.mean(rs) + eta))
@@ -183,7 +95,7 @@ class VerificationReport:
 
 
 def _oracle_numerator(log: DecisionLog, config: ControllerConfig) -> np.ndarray:
-    if controllers.oracle_numerator_kind(config.rule) == "plain":
+    if config.spec.numerator == "plain":
         return log.alpha
     inside = (config.lam < log.p) & (log.p <= config.tau)
     return np.where(inside, log.alpha / (config.tau - config.lam), 0.0)
@@ -217,7 +129,7 @@ def verify_oracle_and_surplus(log: DecisionLog, config: ControllerConfig,
         raise ValueError(f"rule {config.rule!r} carries no oracle to verify")
     n = len(log)
     alpha = config.alpha
-    smooth = controllers.oracle_denominator_kind(config.rule) == "smooth"
+    smooth = config.spec.denominator == "smooth"
     if n == 0:
         base = alpha * (config.eta if smooth else 1.0)
         return VerificationReport(config.rule, 0, base, 0, 0.0, 0,
@@ -236,7 +148,8 @@ def verify_oracle_and_surplus(log: DecisionLog, config: ControllerConfig,
     consistent = bool(np.array_equal(log.rejected, log.p <= log.alpha))
     i_min = int(np.argmin(surplus))
     i_max = int(np.argmax(oracle))
-    bad = (surplus < -tol) | (oracle > alpha + tol)
+    # written so that a NaN (from a NaN or infinite threshold) is a violation
+    bad = ~((surplus >= -tol) & (oracle <= alpha + tol))
     first = int(np.argmax(bad)) + 1 if bad.any() else None
     passed = first is None and consistent
     return VerificationReport(
@@ -310,16 +223,3 @@ def summarize_log(log: DecisionLog, config: ControllerConfig,
         row["min_surplus"] = None
         row["max_oracle"] = None
     return row
-
-
-def accumulate_stream(log: DecisionLog, delta: float, eta: float) -> MetricsAccumulator:
-    """Replay a labeled log through a MetricsAccumulator (testing helper)."""
-    if log.is_null is None:
-        raise ValueError("labels are required")
-    acc = MetricsAccumulator(delta=delta, eta=eta)
-    for i in range(len(log)):
-        record = StreamRecord(i + 1, float(log.p[i]), bool(log.is_null[i]))
-        decision = controllers.Decision(i + 1, float(log.alpha[i]),
-                                        bool(log.rejected[i]), math.nan, False)
-        acc.update(record, decision)
-    return acc

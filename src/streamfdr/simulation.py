@@ -26,8 +26,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import controllers, metrics
-from .controllers import ControllerConfig, UNDECAYED_RULES
-from .metrics import StreamRecord
+from .controllers import ControllerConfig
 
 SIDEDNESS = ("two", "upper", "lower")
 ALTERNATIVES = ("mean", "scale")
@@ -79,7 +78,7 @@ class GeneratorConfig:
 
 @dataclass
 class Stream:
-    """A generated stream; behaves as a sequence of StreamRecord."""
+    """A generated stream: scores, p-values and ground-truth null labels."""
 
     z: np.ndarray
     p: np.ndarray
@@ -87,20 +86,6 @@ class Stream:
 
     def __len__(self):
         return int(self.p.size)
-
-    def __getitem__(self, i) -> StreamRecord:
-        if isinstance(i, slice):
-            raise TypeError("Stream does not support slicing")
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(i)
-        return StreamRecord(i + 1, float(self.p[i]), bool(self.is_null[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     @property
     def n_alternatives(self) -> int:
@@ -187,10 +172,11 @@ def method_config(method: str, alpha: float = 0.1, delta: float = 0.99,
     ``delta`` is only forwarded to decay rules and ``lag`` only to the
     dependency-aware ones, so building undecayed baselines stays silent.
     """
+    spec = controllers.rule_spec(method)
     kwargs = dict(alpha=alpha, eta=eta)
-    if method not in UNDECAYED_RULES and method != "fixed":
+    if spec.decays:
         kwargs["delta"] = delta
-    if method in controllers.DEP_RULES:
+    if spec.lagged:
         kwargs["lag"] = lag
     kwargs.update(overrides)
     return ControllerConfig(rule=method, **kwargs)
@@ -248,12 +234,18 @@ def _sweep_cell(cfg: SweepConfig, pi1: float, rep: int) -> list:
     for method in cfg.methods:
         config = method_config(method, alpha=cfg.alpha, delta=cfg.delta,
                                eta=cfg.eta, lag=cfg.lag)
-        log = metrics.run_log(controllers.make_controller(config), stream.p,
-                              is_null=stream.is_null)
-        row = metrics.summarize_log(log, config, delta=cfg.delta, eta=cfg.eta)
+        row = _summarize(config, stream, cfg.delta, cfg.eta)
         row.update({"method": method, "pi1": pi1, "seed": seed})
         rows.append(row)
     return rows
+
+
+def _summarize(config: ControllerConfig, stream: Stream, delta: float,
+               eta: float) -> dict:
+    """Metrics row of one rule run over a labeled stream."""
+    log = metrics.run_log(controllers.make_controller(config), stream.p,
+                          is_null=stream.is_null)
+    return metrics.summarize_log(log, config, delta=delta, eta=eta)
 
 
 def _sweep_task(args):
@@ -272,34 +264,42 @@ _AGG_COLUMNS = (("method", "pi1", "alpha_target", "delta", "eta", "reps")
                 + ("r_mean", "v_mean", "mfdr"))
 
 
-def _mean_se(values) -> tuple:
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    se = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return mean, se
+def _mean_se(rows: list, names) -> dict:
+    """``<name>_mean`` and ``<name>_se`` (standard error) over rows, per name."""
+    out = {}
+    for name in names:
+        arr = np.asarray([r[name] for r in rows], dtype=np.float64)
+        out[f"{name}_mean"] = float(arr.mean())
+        out[f"{name}_se"] = (float(arr.std(ddof=1) / math.sqrt(arr.size))
+                             if arr.size > 1 else 0.0)
+    return out
+
+
+def _group(rows: list, *keys) -> dict:
+    """Rows grouped by their values under ``keys``, in first-seen order."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(tuple(row[k] for k in keys), []).append(row)
+    return groups
+
+
+def _map_cells(task, tasks: list, workers: int) -> list:
+    """``task`` over ``tasks``, in order; in a process pool when workers > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(task, tasks, chunksize=1))
+    return [task(t) for t in tasks]
 
 
 def aggregate_rows(raw: list, eta: float) -> list:
     """Mean and standard error per (method, pi1) cell, in first-seen order."""
-    order = []
-    groups = {}
-    for row in raw:
-        key = (row["method"], row["pi1"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
     out = []
-    for method, pi1 in order:
-        rows = groups[(method, pi1)]
+    for (method, pi1), rows in _group(raw, "method", "pi1").items():
         agg = {"method": method, "pi1": pi1,
                "alpha_target": rows[0]["alpha_target"],
                "delta": rows[0]["delta"], "eta": rows[0]["eta"],
                "reps": len(rows)}
-        for name in _AGG_METRICS:
-            mean, se = _mean_se([r[name] for r in rows])
-            agg[f"{name}_mean"] = mean
-            agg[f"{name}_se"] = se
+        agg.update(_mean_se(rows, _AGG_METRICS))
         agg["r_mean"] = float(np.mean([r["R"] for r in rows]))
         agg["v_mean"] = float(np.mean([r["V"] for r in rows]))
         agg["mfdr"] = metrics.mfdr_estimate(
@@ -315,11 +315,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     coordinates; surviving cells are aggregated normally.
     """
     tasks = [(cfg, pi1, rep) for pi1 in cfg.pi1_grid for rep in range(cfg.reps)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            cells = list(pool.map(_sweep_task, tasks, chunksize=1))
-    else:
-        cells = [_sweep_task(t) for t in tasks]
+    cells = _map_cells(_sweep_task, tasks, cfg.workers)
     raw, errors = [], []
     for cell in cells:
         for row in cell:
@@ -351,48 +347,25 @@ class FrontierConfig:
 def _frontier_task(args):
     cfg, rep = args
     stream = generate_burst_stream(replace(cfg.burst, seed=cfg.burst.seed + rep))
+    configs = [method_config(cfg.method, alpha=alpha, delta=cfg.delta,
+                             eta=cfg.eta) for alpha in cfg.alpha_grid]
+    configs += [ControllerConfig(rule="fixed", alpha=c)
+                for c in cfg.threshold_grid]
     rows = []
-    for alpha in cfg.alpha_grid:
-        config = method_config(cfg.method, alpha=alpha, delta=cfg.delta,
-                               eta=cfg.eta)
-        log = metrics.run_log(controllers.make_controller(config), stream.p,
-                              is_null=stream.is_null)
-        row = metrics.summarize_log(log, config, delta=cfg.delta, eta=cfg.eta)
-        rows.append({"kind": cfg.method, "param": alpha, "seed": rep,
-                     "fdp": row["fdp"], "power": row["power"]})
-    for c in cfg.threshold_grid:
-        config = ControllerConfig(rule="fixed", alpha=c)
-        log = metrics.run_log(controllers.make_controller(config), stream.p,
-                              is_null=stream.is_null)
-        row = metrics.summarize_log(log, config, delta=cfg.delta, eta=cfg.eta)
-        rows.append({"kind": "fixed", "param": c, "seed": rep,
+    for config in configs:
+        row = _summarize(config, stream, cfg.delta, cfg.eta)
+        rows.append({"kind": config.rule, "param": config.alpha, "seed": rep,
                      "fdp": row["fdp"], "power": row["power"]})
     return rows
 
 
 def fixed_threshold_frontier(cfg: FrontierConfig) -> SweepResult:
     """Trace (realized FDP, power) for the decay rule and a threshold sweep."""
-    tasks = [(cfg, rep) for rep in range(cfg.reps)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            cells = list(pool.map(_frontier_task, tasks, chunksize=1))
-    else:
-        cells = [_frontier_task(t) for t in tasks]
+    cells = _map_cells(_frontier_task, [(cfg, rep) for rep in range(cfg.reps)],
+                       cfg.workers)
     raw = [row for cell in cells for row in cell]
-    order = []
-    groups = {}
-    for row in raw:
-        key = (row["kind"], row["param"])
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
     agg = []
-    for kind, param in order:
-        rows = groups[(kind, param)]
-        fdp_mean, fdp_se = _mean_se([r["fdp"] for r in rows])
-        pow_mean, pow_se = _mean_se([r["power"] for r in rows])
+    for (kind, param), rows in _group(raw, "kind", "param").items():
         agg.append({"kind": kind, "param": param, "reps": len(rows),
-                    "fdp_mean": fdp_mean, "fdp_se": fdp_se,
-                    "power_mean": pow_mean, "power_se": pow_se})
+                    **_mean_se(rows, ("fdp", "power"))})
     return SweepResult(raw=raw, aggregate=agg)

@@ -131,6 +131,23 @@ class TestDetect:
         assert h1 + h2 == whole
 
 
+    def test_corrupt_snapshot_exits_2(self, tmp_path, capsys):
+        stream = simulate(tmp_path, pi1=0.05, length=300)
+        assert run("--output-dir", tmp_path, "detect", "--input", stream,
+                   "--method", "lord-decay", "--out", "h1",
+                   "--save-state", "state.json") == 0
+        state = tmp_path / "state.json"
+        snap = json.loads(state.read_text())
+        assert snap["rejection_times"]
+        snap["rejection_times"][-1] = snap["t"] + 1
+        state.write_text(json.dumps(snap))
+        code = run("--output-dir", tmp_path, "detect", "--input", stream,
+                   "--method", "lord-decay", "--out", "h2",
+                   "--resume-from", state)
+        assert code == cli.EXIT_VALIDATION
+        assert "corrupt snapshot" in capsys.readouterr().err
+
+
 class TestCsvWriter:
     def test_cell_formats(self, tmp_path):
         path = tmp_path / "cells.csv"
@@ -181,6 +198,25 @@ class TestVerify:
         assert code == cli.EXIT_VERIFICATION
         out = capsys.readouterr().out
         assert "FAIL" in out and "first_offending_T" in out
+
+    @pytest.mark.parametrize("row, edit", [
+        pytest.param(-1, lambda cells: cells[:3], id="ragged-last-row"),
+        pytest.param(5, lambda cells: cells[:2] + ["0.x1"] + cells[3:],
+                     id="alpha-not-number"),
+        pytest.param(7, lambda cells: cells[:3] + ["yes"] + cells[4:],
+                     id="reject-not-integer"),
+    ])
+    def test_malformed_log_exits_2_naming_the_row(self, tmp_path, capsys, row,
+                                                   edit):
+        log, manifest = self._detect(tmp_path)
+        lines = log.read_text().splitlines()
+        lines[row] = ",".join(edit(lines[row].split(",")))
+        log.write_text("\n".join(lines) + "\n")
+        code = run("--output-dir", tmp_path, "verify", "--input", log,
+                   "--manifest", manifest, "--allow-modified")
+        assert code == cli.EXIT_VALIDATION
+        number = row if row > 0 else len(lines) - 1
+        assert f"row {number}:" in capsys.readouterr().err
 
     def test_digest_mismatch_is_config_error(self, tmp_path, capsys):
         log, manifest = self._detect(tmp_path)

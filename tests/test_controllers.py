@@ -416,6 +416,52 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="snapshot"):
             restore_controller(cfg, json.dumps({"format": "nope"}))
 
+    @pytest.mark.parametrize("rule, edit", [
+        pytest.param("lord-decay", lambda s: s["rejection_times"].reverse(),
+                     id="times-not-increasing"),
+        pytest.param("lord-decay",
+                     lambda s: s["rejection_times"].__setitem__(-1, s["t"] + 5),
+                     id="time-after-t"),
+        pytest.param("addis-decay",
+                     lambda s: s["decay_weights"].__setitem__(0, 1.5),
+                     id="weight-above-1"),
+        pytest.param("addis-decay",
+                     lambda s: s["decay_weights"].__setitem__(-1, 0.0),
+                     id="weight-zero"),
+        pytest.param("addis-decay",
+                     lambda s: s["decay_weights"].__setitem__(0, math.nan),
+                     id="weight-nan"),
+        pytest.param("addis-decay",
+                     lambda s: s["candidate_counters"].__setitem__(0, 0),
+                     id="counter-zero"),
+        pytest.param("addis-decay",
+                     lambda s: s["candidate_counters"].__setitem__(
+                         0, s["s1"] + 1), id="counter-above-s1"),
+        pytest.param("saffron", lambda s: s.update(s0=s["t"] + 2),
+                     id="s0-beyond-t"),
+        pytest.param("saffron", lambda s: s.update(s1=s["s0"] + 1),
+                     id="s1-above-s0"),
+        pytest.param("lord", lambda s: s.update(
+            rejection_count=len(s["rejection_times"]) - 1),
+                     id="count-below-times"),
+        pytest.param("lord-dep-decay", lambda s: s.pop("harmonic_q"),
+                     id="missing-field"),
+        pytest.param("lord-decay-w0", lambda s: s.update(t="soon"),
+                     id="t-not-integer"),
+    ])
+    def test_corrupt_snapshot_rejected(self, rule, edit):
+        cfg = small_config(rule, lag=2 if rule.startswith("lord-dep") else 0)
+        ctrl = make_controller(cfg)
+        p = np.random.default_rng(71).random(300)
+        p[::37] = 0.0
+        metrics.run_log(ctrl, p)
+        snap = json.loads(ctrl.snapshot())
+        assert len(snap["rejection_times"]) >= 2
+        restore_controller(cfg, json.dumps(snap))   # untouched, it restores
+        edit(snap)
+        with pytest.raises(ValueError, match="corrupt snapshot: "):
+            restore_controller(cfg, json.dumps(snap))
+
     def test_clone_matches_original(self):
         rng = np.random.default_rng(59)
         p = rng.random(3000)

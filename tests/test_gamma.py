@@ -157,6 +157,22 @@ class TestDecayedSequence:
             DecayedGammaSequence(lord_gamma(H_SMALL), 1.2)
 
 
+class TestVectorLookup:
+    @pytest.mark.parametrize("seq", [
+        lord_gamma(H_SMALL), decayed_gamma(lord_gamma(H_SMALL), 0.99),
+        GammaSequence.custom([0.5, 0.25, 0.125]),
+        DecayedGammaSequence(GammaSequence.custom([0.5, 0.25, 0.125]), 0.9),
+    ], ids=["lord", "lord-decayed", "custom", "custom-decayed"])
+    def test_weights_gather_what_np_clip_gathers(self, seq):
+        h = seq.horizon
+        idx = np.array([-5, -1, 0, 1, 2, h // 2, h - 1, h, h + 1, h + 2,
+                        10 * h + 7], dtype=np.int64)
+        expect = seq._padded[np.clip(idx, 0, h + 1)]
+        np.testing.assert_array_equal(seq.weights(idx), expect)
+        assert [float(w) for w in seq.weights(idx)] == [
+            seq.weight(int(i)) for i in idx]
+
+
 class TestHarmonic:
     def test_small_values(self):
         assert harmonic_number(1) == 1.0

@@ -2,125 +2,95 @@ import numpy as np
 import pytest
 
 from streamfdr import metrics
-from streamfdr.controllers import Decision, make_controller
-from streamfdr.metrics import (DecisionLog, MetricsAccumulator, StreamRecord,
-                               mfdr_estimate, verify_oracle_and_surplus)
+from streamfdr.controllers import ControllerConfig, make_controller
+from streamfdr.metrics import (DecisionLog, mfdr_estimate,
+                               verify_oracle_and_surplus)
 from streamfdr.simulation import GeneratorConfig, generate_stream, method_config
 
+#: a rule without an oracle, so summaries of hand-built logs skip the verifier
+FIXED = ControllerConfig(rule="fixed", alpha=0.05)
 
-def _decision(step, rejected, threshold=0.05):
-    return Decision(step, threshold, rejected, 0.0, False)
+
+def summary(rejected, is_null=None, delta=0.99, eta=1.0, upto=None):
+    """summarize_log of a hand-built log with the given decisions and labels."""
+    rejected = np.asarray(rejected, dtype=bool)
+    log = DecisionLog(p=np.where(rejected, 0.01, 0.5),
+                      alpha=np.full(rejected.size, 0.05), rejected=rejected,
+                      is_null=None if is_null is None
+                      else np.asarray(is_null, dtype=bool))
+    return metrics.summarize_log(log, FIXED, delta=delta, eta=eta, upto=upto)
 
 
 class TestAccumulator:
+    """The discounted counts R_delta and V_delta that summarize_log reports."""
+
     def test_discounted_counts_match_direct_arithmetic(self):
         # R_t = (1, 0, 1) with delta = 1/2: R_delta(3) = 0.25 + 0 + 1
-        acc = MetricsAccumulator(delta=0.5)
-        acc.update(StreamRecord(1, 0.01, True), _decision(1, True))
-        acc.update(StreamRecord(2, 0.5, False), _decision(2, False))
-        acc.update(StreamRecord(3, 0.01, False), _decision(3, True))
-        assert acc.r_delta == 0.5 ** 2 * 1 + 0.5 * 0 + 1
-        assert acc.v_delta == 0.25  # only t = 1 was null
+        row = summary([True, False, True], [True, False, False], delta=0.5)
+        assert row["r_delta"] == 0.5 ** 2 * 1 + 0.5 * 0 + 1
+        assert row["v_delta"] == 0.25  # only t = 1 was null
 
     def test_delta_one_reduces_to_plain_counts(self):
         rng = np.random.default_rng(0)
-        acc = MetricsAccumulator(delta=1.0)
-        rejections = 0
-        for t in range(1, 500):
-            rej = bool(rng.random() < 0.2)
-            rejections += rej
-            acc.update(StreamRecord(t, 0.5, bool(rng.random() < 0.5)),
-                       _decision(t, rej))
-        assert acc.r_delta == acc.rejections == rejections
-
-    def test_out_of_order_update_rejected(self):
-        acc = MetricsAccumulator()
-        acc.update(StreamRecord(1, 0.5, True), _decision(1, False))
-        with pytest.raises(ValueError, match="out-of-order"):
-            acc.update(StreamRecord(3, 0.5, True), _decision(3, False))
+        rejected = rng.random(499) < 0.2
+        row = summary(rejected, rng.random(499) < 0.5, delta=1.0)
+        assert row["r_delta"] == row["R"] == int(rejected.sum())
 
     def test_incremental_equals_recomputation(self):
         rng = np.random.default_rng(1)
         delta = 0.97
-        acc = MetricsAccumulator(delta=delta)
-        rejected, null = [], []
+        rejected = rng.random(2000) < 0.1
+        null = rng.random(2000) < 0.8
+        r_acc = v_acc = 0.0
         for t in range(1, 2001):
-            rej = bool(rng.random() < 0.1)
-            is_null = bool(rng.random() < 0.8)
-            rejected.append(rej)
-            null.append(is_null)
-            acc.update(StreamRecord(t, 0.5, is_null), _decision(t, rej))
-            T = len(rejected)
-            w = delta ** np.arange(T - 1, -1, -1)
-            r_direct = float(np.dot(w, rejected))
-            assert acc.r_delta == pytest.approx(r_direct, rel=1e-12)
-        v_direct = float(np.dot(delta ** np.arange(T - 1, -1, -1),
-                                np.asarray(rejected) & np.asarray(null)))
-        assert acc.v_delta == pytest.approx(v_direct, rel=1e-12)
+            r = 1.0 if rejected[t - 1] else 0.0
+            r_acc = delta * r_acc + r
+            v_acc = delta * v_acc + (r if null[t - 1] else 0.0)
+            if t in (1, 2, 137, 1000, 2000):
+                row = summary(rejected, null, delta=delta, upto=t)
+                assert row["r_delta"] == pytest.approx(r_acc, rel=1e-12)
+                assert row["v_delta"] == pytest.approx(v_acc, rel=1e-12)
 
 
 class TestProportions:
-    def _worked_example(self):
-        acc = MetricsAccumulator(delta=0.5, eta=1.0)
-        acc.update(StreamRecord(1, 0.01, True), _decision(1, True))
-        acc.update(StreamRecord(2, 0.5, False), _decision(2, False))
-        acc.update(StreamRecord(3, 0.01, False), _decision(3, True))
-        return acc
-
     def test_fdp_variants_worked_example(self):
-        out = self._worked_example().fdp_variants()
-        assert out["fdp_delta"] == pytest.approx(0.25 / 1.25)
-        assert out["sfdp_delta"] == pytest.approx(0.25 / 2.25)
-        assert out["fdp"] == 0.5
+        row = summary([True, False, True], [True, False, False], delta=0.5,
+                      eta=1.0)
+        assert row["fdp_delta"] == pytest.approx(0.25 / 1.25)
+        assert row["sfdp_delta"] == pytest.approx(0.25 / 2.25)
+        assert row["fdp"] == 0.5
 
     def test_no_rejections_gives_zeros(self):
-        acc = MetricsAccumulator()
-        acc.update(StreamRecord(1, 0.9, True), _decision(1, False))
-        out = acc.fdp_variants()
-        assert out == {"fdp": 0.0, "fdp_delta": 0.0, "sfdp_delta": 0.0}
+        row = summary([False], [True])
+        assert (row["fdp"], row["fdp_delta"], row["sfdp_delta"]) == (0.0, 0.0, 0.0)
 
     def test_all_rejections_false_gives_fdp_one(self):
-        acc = MetricsAccumulator()
-        for t in range(1, 4):
-            acc.update(StreamRecord(t, 0.01, True), _decision(t, True))
-        assert acc.fdp_variants()["fdp"] == 1.0
-        assert acc.power_precision()["precision"] == 0.0
+        row = summary([True] * 3, [True] * 3)
+        assert row["fdp"] == 1.0
+        assert row["precision"] == 0.0
 
     def test_power_counts(self):
-        acc = MetricsAccumulator()
-        t = 0
-        for _ in range(4):
-            t += 1
-            acc.update(StreamRecord(t, 0.01, False), _decision(t, True))
-        for _ in range(6):
-            t += 1
-            acc.update(StreamRecord(t, 0.5, False), _decision(t, False))
-        assert acc.power_precision()["power"] == pytest.approx(0.4)
+        row = summary([True] * 4 + [False] * 6, [False] * 10)
+        assert row["power"] == pytest.approx(0.4)
 
-    def test_power_zero_alternatives_flagged(self):
-        acc = MetricsAccumulator()
-        acc.update(StreamRecord(1, 0.5, True), _decision(1, False))
-        out = acc.power_precision()
-        assert out["power"] == 0.0
-        assert out["degenerate_power"]
+    def test_power_zero_alternatives_is_zero(self):
+        assert summary([False], [True])["power"] == 0.0
 
-    def test_unlabeled_stream_raises(self):
-        acc = MetricsAccumulator()
-        acc.update(StreamRecord(1, 0.5, None), _decision(1, False))
-        with pytest.raises(ValueError, match="label"):
-            acc.fdp_variants()
+    def test_unlabeled_stream_gives_none(self):
+        row = summary([False, True])
+        for key in ("V", "v_delta", "fdp", "fdp_delta", "sfdp_delta", "power",
+                    "precision"):
+            assert row[key] is None, key
+        assert row["R"] == 1
 
     def test_smoothing_ordering_when_rdelta_large(self):
         rng = np.random.default_rng(2)
-        acc = MetricsAccumulator(delta=0.99)
-        for t in range(1, 1500):
-            acc.update(StreamRecord(t, 0.5, bool(rng.random() < 0.5)),
-                       _decision(t, bool(rng.random() < 0.3)))
-        assert acc.r_delta >= 1.0
-        out = acc.fdp_variants()
-        bound = out["fdp_delta"] * acc.r_delta / (acc.r_delta + acc.eta)
-        assert out["sfdp_delta"] <= bound + 1e-15
-        assert bound <= out["fdp_delta"] + 1e-15
+        null = rng.random(1499) < 0.5
+        row = summary(rng.random(1499) < 0.3, null, delta=0.99)
+        assert row["r_delta"] >= 1.0
+        bound = row["fdp_delta"] * row["r_delta"] / (row["r_delta"] + row["eta"])
+        assert row["sfdp_delta"] <= bound + 1e-15
+        assert bound <= row["fdp_delta"] + 1e-15
 
 
 class TestMfdr:
@@ -185,6 +155,16 @@ class TestVerifier:
         assert report.first_violation_at is not None
         assert report.min_surplus < 0.0
 
+    def test_nan_threshold_detected(self):
+        cfg, log = self._log()
+        log.alpha = log.alpha.copy()
+        log.alpha[700] = np.nan
+        log.rejected = log.p <= log.alpha
+        report = verify_oracle_and_surplus(log, cfg)
+        assert report.consistent
+        assert not report.passed
+        assert report.first_violation_at == 701
+
     def test_inconsistent_rejections_detected(self):
         cfg, log = self._log()
         log.rejected = log.rejected.copy()
@@ -229,7 +209,6 @@ class TestVerifier:
             assert log.oracle[T - 1] == pytest.approx(oracle, rel=1e-12)
 
     def test_fixed_rule_has_no_oracle(self):
-        from streamfdr.controllers import ControllerConfig
         cfg = ControllerConfig(rule="fixed", alpha=0.05)
         with pytest.raises(ValueError, match="no oracle"):
             verify_oracle_and_surplus(
@@ -238,20 +217,27 @@ class TestVerifier:
 
 
 class TestSummarize:
-    def test_summary_matches_accumulator(self):
+    def test_summary_matches_direct_recomputation(self):
         cfg = method_config("saffron-decay", horizon=100_000)
         stream = generate_stream(GeneratorConfig(length=1500, pi1=0.1, seed=9))
         log = metrics.run_log(make_controller(cfg), stream.p,
                               is_null=stream.is_null)
         row = metrics.summarize_log(log, cfg)
-        acc = metrics.accumulate_stream(log, delta=cfg.delta, eta=cfg.eta)
-        variants = acc.fdp_variants()
-        assert row["R"] == acc.rejections
-        assert row["V"] == acc.false_positives
-        assert row["fdp"] == pytest.approx(variants["fdp"])
-        assert row["fdp_delta"] == pytest.approx(variants["fdp_delta"], rel=1e-12)
-        assert row["sfdp_delta"] == pytest.approx(variants["sfdp_delta"], rel=1e-12)
-        assert row["power"] == pytest.approx(acc.power_precision()["power"])
+        r = v = tp = 0
+        r_delta = v_delta = 0.0
+        for rej, null in zip(log.rejected.tolist(), stream.is_null.tolist()):
+            r += rej
+            v += rej and null
+            tp += rej and not null
+            r_delta = cfg.delta * r_delta + rej
+            v_delta = cfg.delta * v_delta + (rej and null)
+        assert (row["R"], row["V"]) == (r, v)
+        assert row["fdp"] == pytest.approx(v / max(r, 1))
+        assert row["fdp_delta"] == pytest.approx(v_delta / max(r_delta, 1.0),
+                                                 rel=1e-12)
+        assert row["sfdp_delta"] == pytest.approx(v_delta / (r_delta + cfg.eta),
+                                                  rel=1e-12)
+        assert row["power"] == pytest.approx(tp / stream.n_alternatives)
 
     def test_time_sliced_evaluation(self):
         cfg = method_config("lord-decay", horizon=100_000)

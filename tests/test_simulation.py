@@ -85,12 +85,6 @@ class TestGenerator:
         c = generate_stream(GeneratorConfig(length=1000, pi1=0.1, seed=6))
         assert not np.array_equal(a.p, c.p)
 
-    def test_records_are_sequential(self):
-        stream = generate_stream(GeneratorConfig(length=10, pi1=0.5, seed=7))
-        records = list(stream)
-        assert [r.index for r in records] == list(range(1, 11))
-        assert records[3].p_value == stream.p[3]
-
     def test_moving_average_injects_local_dependence(self):
         cfg = GeneratorConfig(length=200_000, pi1=0.0, seed=8, ma_lag=3)
         stream = generate_stream(cfg)
