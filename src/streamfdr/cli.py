@@ -558,6 +558,7 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    metrics.check_verify_options(args.tol, args.method)
     with open(args.manifest) as fh:
         manifest = json.load(fh)
     basename = os.path.basename(args.input)

@@ -18,15 +18,23 @@ surplus
     P(T) = alpha * denominator(T) - discounted spend(T)
 
 at every prefix T.  The rule is certified iff the oracle never exceeds
-alpha and the surplus never dips below zero.  In "scratch" mode every
-prefix is recomputed from raw arrays (quadratic, the honest brute force);
-"recurrence" mode replays the exact linear recurrences instead (through
-``scipy.signal.lfilter``) and is used where quadratic cost is prohibitive.
+alpha and the surplus never dips below zero (for the ADDIS family, also
+that no threshold exceeds lambda).  "scratch" mode recomputes every prefix
+from the raw arrays, without the recurrence: blocks of B = isqrt(n) rows,
+each block anchored by a direct dot product over all raw values before it,
+and the rows inside a block summed directly, about n**1.5 multiply-adds per
+series.  Its prefixes agree with exactly rounded sums within a relative
+1e-12 (tested against ``math.fsum``).  "recurrence" mode replays the exact
+linear recurrence X <- delta * X + x_t instead (through
+``scipy.signal.lfilter``), in linear time.  The two differ by round-off
+only, so they give the same verdict unless a surplus or oracle lies within
+about 1e-15 of its bound; ``verify`` uses scratch by default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Optional
 
 import numpy as np
@@ -108,23 +116,44 @@ def _discounted_prefixes(values: np.ndarray, delta: float,
     if method == "recurrence":
         # acc = delta * acc + v, run in order: the same bits as the loop
         return lfilter([1.0], [1.0, -delta], values)
-    if method != "scratch":
-        raise ValueError(f"unknown verification method {method!r}")
     if delta == 1.0:
         # prefix sums of raw values; no discounting to redo per step
         return np.cumsum(values)
-    powers = delta ** np.arange(n, dtype=np.float64)
+    # Blocks of size = isqrt(n) rows.  A prefix T in the block after row s is
+    # delta**(T-s) * A(s) + sum_{s<t<=T} delta**(T-t) * v_t, where each
+    # anchor A(s) is a direct dot over the raw values up to s (no anchor is
+    # built from another).  The in-block sums are size shift-and-add passes,
+    # so a NaN or inf at row k reaches no prefix before k (a product with a
+    # zero-padded triangular matrix would: NaN * 0 = NaN).
+    size = max(1, isqrt(n))
+    powers = delta ** np.arange(max(n, size + 1), dtype=np.float64)
     rev = values[::-1].copy()
-    out = np.empty(n, dtype=np.float64)
-    for T in range(1, n + 1):
-        out[T - 1] = np.dot(rev[n - T:], powers[:T])
-    return out
+    anchors = np.array([np.dot(rev[n - s:], powers[:s])
+                        for s in range(0, n, size)])
+    blocks = anchors.size
+    grid = np.zeros(blocks * size, dtype=np.float64)
+    grid[:n] = values
+    grid = grid.reshape(blocks, size)
+    out = powers[1:size + 1] * anchors[:, None]
+    for k in range(size):
+        out[:, k:] += powers[k] * grid[:, :size - k]
+    return out.reshape(-1)[:n]
+
+
+def check_verify_options(tol: float, method: str) -> None:
+    """Raise ValueError unless tol is finite and nonnegative and the method
+    is "scratch" or "recurrence"."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    if method not in ("scratch", "recurrence"):
+        raise ValueError(f"unknown verification method {method!r}")
 
 
 def verify_oracle_and_surplus(log: DecisionLog, config: ControllerConfig,
                               tol: float = 1e-10,
                               method: str = "scratch") -> VerificationReport:
     """Recompute the rule oracle and surplus P(T) at every prefix of a log."""
+    check_verify_options(tol, method)
     if config.rule not in controllers.ORACLE_RULES:
         raise ValueError(f"rule {config.rule!r} carries no oracle to verify")
     n = len(log)
@@ -149,8 +178,12 @@ def verify_oracle_and_surplus(log: DecisionLog, config: ControllerConfig,
     i_min = int(np.argmin(surplus))
     i_max = int(np.argmax(oracle))
     # written so that a NaN (from a NaN or infinite threshold) is a violation
-    bad = ~((surplus >= -tol) & (oracle <= alpha + tol))
-    first = int(np.argmax(bad)) + 1 if bad.any() else None
+    ok = (surplus >= -tol) & (oracle <= alpha + tol)
+    if config.spec.family == "addis":
+        # the indicator numerator estimates the spend only while every
+        # threshold stays at or below lambda, where the controllers cap it
+        ok &= log.alpha <= config.lam + tol
+    first = None if ok.all() else int(np.argmin(ok)) + 1
     passed = first is None and consistent
     return VerificationReport(
         rule=config.rule,

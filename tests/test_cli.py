@@ -188,16 +188,44 @@ class TestVerify:
     def test_tampered_log_fails_with_offending_step(self, tmp_path, capsys):
         log, manifest = self._detect(tmp_path)
         lines = log.read_text().splitlines()
-        cells = lines[600].split(",")
-        cells[2] = repr(float(cells[2]) * 100.0)
-        cells[3] = "1" if float(cells[1]) <= float(cells[2]) else "0"
-        lines[600] = ",".join(cells)
-        log.write_text("\n".join(lines) + "\n")
+        self._forge(log, 600, float(lines[600].split(",")[2]) * 100.0)
         code = run("--output-dir", tmp_path, "verify", "--input", log,
                    "--manifest", manifest, "--allow-modified")
         assert code == cli.EXIT_VERIFICATION
         out = capsys.readouterr().out
         assert "FAIL" in out and "first_offending_T" in out
+
+    def _forge(self, log, t, alpha):
+        """Give row t of a decision log threshold alpha, consistently."""
+        lines = log.read_text().splitlines()
+        cells = lines[t].split(",")
+        cells[2] = repr(alpha)
+        cells[3] = "1" if float(cells[1]) <= alpha else "0"
+        lines[t] = ",".join(cells)
+        log.write_text("\n".join(lines) + "\n")
+
+    def test_addis_threshold_above_lambda_fails(self, tmp_path, capsys):
+        log, manifest = self._detect(tmp_path, method="addis-decay")
+        rows = [line.split(",") for line in log.read_text().splitlines()[1:]]
+        # a p-value above tau: the indicator numerator spends nothing on it,
+        # so only the cap alpha_t <= lambda can catch a forged threshold
+        t = next(int(c[0]) for c in rows if float(c[1]) > 0.5)
+        self._forge(log, t, 0.9999)
+        code = run("--output-dir", tmp_path, "verify", "--input", log,
+                   "--manifest", manifest, "--allow-modified")
+        assert code == cli.EXIT_VERIFICATION
+        assert f"first_offending_T={t}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-10"])
+    def test_bad_tolerance_exits_2(self, tmp_path, capsys, tol):
+        log, manifest = self._detect(tmp_path)
+        self._forge(log, 5, 0.99)  # certified as PASS by --tol inf before
+        code = run("--output-dir", tmp_path, "verify", "--input", log,
+                   "--manifest", manifest, "--allow-modified", f"--tol={tol}")
+        assert code == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "tol must be finite and nonnegative" in captured.err
+        assert "PASS" not in captured.out
 
     @pytest.mark.parametrize("row, edit", [
         pytest.param(-1, lambda cells: cells[:3], id="ragged-last-row"),

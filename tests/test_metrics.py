@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,34 @@ class TestVerifier:
             oracle = spend / (rdelta + cfg.eta)
             assert log.oracle[T - 1] == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 5])
+    @pytest.mark.parametrize("tol, method", [
+        (np.inf, "scratch"), (np.nan, "scratch"), (-1e-10, "recurrence"),
+        (1e-10, "cubic"), (1e-10, "")])
+    def test_bad_options_rejected_before_anything_else(self, n, tol, method):
+        cfg, log = self._log(n=max(n, 1))
+        log = metrics.truncate_log(log, n)
+        with pytest.raises(ValueError, match="tol|method"):
+            verify_oracle_and_surplus(log, cfg, tol=tol, method=method)
+        with pytest.raises(ValueError, match="tol|method"):
+            verify_oracle_and_surplus(log, FIXED, tol=tol, method=method)
+
+    @pytest.mark.parametrize("rule", ["addis", "saffron", "addis-decay",
+                                      "saffron-decay", "addis-decay-w0"])
+    def test_addis_threshold_above_lambda_detected(self, rule):
+        cfg, log = self._log(rule=rule)
+        assert verify_oracle_and_surplus(log, cfg).passed
+        assert log.alpha.max() <= cfg.lam
+        # a row whose p lies outside (lambda, tau], so it spends nothing
+        k = int(np.argmax((log.p <= cfg.lam) | (log.p > cfg.tau)))
+        log.alpha = log.alpha.copy()
+        log.alpha[k] = cfg.lam * (1.0 + 1e-6)
+        log.rejected = log.p <= log.alpha
+        report = verify_oracle_and_surplus(log, cfg)
+        assert report.consistent
+        assert not report.passed
+        assert report.first_violation_at == k + 1
+
     def test_fixed_rule_has_no_oracle(self):
         cfg = ControllerConfig(rule="fixed", alpha=0.05)
         with pytest.raises(ValueError, match="no oracle"):
@@ -261,3 +291,57 @@ class TestSummarize:
         row = metrics.summarize_log(log, cfg)
         assert row["V"] is None and row["fdp"] is None
         assert row["R"] >= 0 and row["min_surplus"] is not None
+
+
+def _fsum_prefixes(values, delta):
+    """Exactly rounded d(T) = sum_{t<=T} delta**(T-t) * values_t, per prefix."""
+    values = values.tolist()
+    return np.array([math.fsum(v * delta ** (T - t)
+                               for t, v in enumerate(values[:T + 1]))
+                     for T in range(len(values))])
+
+
+class TestScratchPrefixes:
+    """The block-anchored direct sums of the scratch verifier."""
+
+    @pytest.mark.parametrize("delta", [0.5, 0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("n", [1, 2, 3, 43, 44, 45, 1023, 1024, 1025, 1999])
+    def test_matches_exactly_rounded_sums(self, n, delta):
+        # 43, 44 and 45 rows are one block size of the 1999-row case either
+        # side of it; 1023, 1024 and 1025 rows end in a short block, fill
+        # 32 blocks of 32 exactly, and end in a one-row block
+        rng = np.random.default_rng(n)
+        values = rng.random(n) * 10.0 ** rng.uniform(-12, 0, n)
+        values[rng.random(n) < 0.3] = 0.0
+        got = metrics._discounted_prefixes(values, delta, "scratch")
+        expected = _fsum_prefixes(values, delta)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [0, 1, 43, 44, 45, 700, 1998])
+    def test_bad_value_leaves_earlier_prefixes_unchanged(self, k, bad):
+        rng = np.random.default_rng(5)
+        values = rng.random(1999)
+        clean = metrics._discounted_prefixes(values, 0.99, "scratch")
+        values[k] = bad
+        got = metrics._discounted_prefixes(values, 0.99, "scratch")
+        assert np.isfinite(got[:k]).all()
+        np.testing.assert_array_equal(got[:k], clean[:k])
+        assert not np.isfinite(got[k:]).any()
+
+    def test_scratch_matches_recurrence_on_long_lagged_log(self):
+        cfg = method_config("lord-dep-decay", lag=100, horizon=100_000)
+        stream = generate_stream(GeneratorConfig(length=100_000, pi1=0.01,
+                                                 seed=21))
+        log = metrics.run_log(make_controller(cfg), stream.p)
+        a = verify_oracle_and_surplus(log, cfg, method="scratch")
+        b = verify_oracle_and_surplus(log, cfg, method="recurrence")
+        assert a.passed and b.passed
+        assert a.min_surplus == pytest.approx(b.min_surplus, rel=1e-10, abs=1e-12)
+        assert a.max_oracle == pytest.approx(b.max_oracle, rel=1e-10, abs=1e-12)
+        for values in (log.alpha, log.rejected.astype(np.float64)):
+            np.testing.assert_allclose(
+                metrics._discounted_prefixes(values, cfg.delta, "scratch"),
+                metrics._discounted_prefixes(values, cfg.delta, "recurrence"),
+                rtol=1e-10, atol=1e-12)
