@@ -18,7 +18,6 @@ the manifest reproduces the outputs bit for bit.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -28,7 +27,7 @@ from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
-from . import __version__, controllers, forecaster, metrics, simulation
+from . import __version__, controllers, csvio, forecaster, metrics, simulation
 from .controllers import ControllerConfig
 
 EXIT_OK = 0
@@ -47,16 +46,6 @@ class VerificationFailure(Exception):
 # formatting / file helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -65,24 +54,10 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _cells(column):
-    """One column's CSV cells, by the rules of ``_fmt``: numpy float arrays
-    by repr, numpy bool and integer arrays as integers, anything else cell by
-    cell."""
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            return map(repr, column.tolist())
-        if column.dtype.kind in "biu":
-            return column.astype(np.int64).tolist()
-    return map(_fmt, column)
-
-
 def _write_csv(path, header, columns):
-    """Write equal-length columns under ``header``, a column at a time."""
+    """Write equal-length columns under ``header``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*map(_cells, columns)))
+        csvio.write_columns(fh, header, columns)
 
 
 def _rows_to_columns(rows, names):
@@ -130,43 +105,59 @@ def read_stream_csv(path):
     A malformed row raises ValueError naming it (row 1 is the first data row).
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = csvio.read_header(fh)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        header = [h.strip() for h in header]
         if header[:2] != ["t", "p"]:
             raise ValueError(f"{path}: expected columns t,p[,label]")
         has_label = "label" in header
         label_idx = header.index("label") if has_label else None
-        ps, labels = [], []
-        try:
-            for rowno, cells in enumerate(reader, start=1):
-                if int(cells[0]) != rowno:
-                    raise ValueError
-                ps.append(float(cells[1]))
-                if has_label:
-                    labels.append(float(cells[label_idx]))
-        except UnicodeDecodeError:   # the file is not text: no row to blame
-            raise
-        except (IndexError, ValueError):
-            columns = [("t", 0, int), ("p", 1, float)]
+        width = len(header)
+
+        def fast(cells, first):
+            t = csvio.parse_column(cells, width, 0, int)
+            if not np.array_equal(t, np.arange(first, first + t.size)):
+                raise ValueError("indices must be gapless")
+            columns = [csvio.parse_column(cells, width, 1, float)]
             if has_label:
-                columns.append(("label", label_idx, float))
-            problem = _bad_row(cells, columns)
-            raise ValueError(f"{path}: row {rowno}: {problem}") from None
-    p = np.asarray(ps, dtype=np.float64)
+                columns.append(csvio.parse_column(cells, width, label_idx,
+                                                  float))
+            return columns
+
+        def slow(rows, first, _parts):
+            ps, labels = [], []
+            try:
+                for rowno, cells in enumerate(rows, start=first):
+                    if int(cells[0]) != rowno:
+                        raise ValueError
+                    ps.append(float(cells[1]))
+                    if has_label:
+                        labels.append(float(cells[label_idx]))
+            except UnicodeDecodeError:   # not text: no row to blame
+                raise
+            except (IndexError, ValueError):
+                columns = [("t", 0, int), ("p", 1, float)]
+                if has_label:
+                    columns.append(("label", label_idx, float))
+                problem = _bad_row(cells, columns)
+                raise ValueError(f"{path}: row {rowno}: {problem}") from None
+            columns = [np.asarray(ps, dtype=np.float64)]
+            if has_label:
+                columns.append(np.asarray(labels, dtype=np.float64))
+            return columns
+
+        p, *label = csvio.read_columns(fh, width, fast, slow)
     bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
     if bad.size:
         raise ValueError(f"{path}: row {bad[0] + 1}: p-value must lie in "
-                         f"[0, 1], got {ps[bad[0]]!r}")
+                         f"[0, 1], got {float(p[bad[0]])!r}")
     if not has_label:
         return p, None
-    label = np.asarray(labels, dtype=np.float64)
+    label, = label
     bad = np.flatnonzero(~np.isfinite(label))
     if bad.size:
         raise ValueError(f"{path}: row {bad[0] + 1}: label must be finite, "
-                         f"got {labels[bad[0]]!r}")
+                         f"got {float(label[bad[0]])!r}")
     # a label counts as anomalous when its integer part is nonzero
     return p, np.trunc(label) == 0.0
 
@@ -177,40 +168,58 @@ def read_decisions_csv(path) -> metrics.DecisionLog:
     A malformed row raises ValueError naming it (row 1 is the first data row).
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = csvio.read_header(fh)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        header = [h.strip() for h in header]
         for col in ("t", "p", "alpha", "reject"):
             if col not in header:
                 raise ValueError(f"{path}: missing column {col!r}")
         has_label = "label" in header
         ip, ia, ir = (header.index(c) for c in ("p", "alpha", "reject"))
         il = header.index("label") if has_label else None
-        ps, alphas, rejects, labels = [], [], [], []
-        try:
-            for rowno, cells in enumerate(reader, start=1):
-                ps.append(float(cells[ip]))
-                alphas.append(float(cells[ia]))
-                rejects.append(bool(int(cells[ir])))
-                if has_label:
-                    labels.append(bool(int(float(cells[il]))))
-        except UnicodeDecodeError:   # the file is not text: no row to blame
-            raise
-        except (IndexError, ValueError, OverflowError):
-            columns = [("p", ip, float), ("alpha", ia, float),
-                       ("reject", ir, int)]
+        width = len(header)
+
+        def fast(cells, first):
+            columns = [csvio.parse_column(cells, width, ip, float),
+                       csvio.parse_column(cells, width, ia, float),
+                       csvio.parse_column(cells, width, ir, int) != 0]
             if has_label:
-                columns.append(("label", il, lambda cell: int(float(cell))))
-            problem = _bad_row(cells, columns)
-            raise ValueError(f"{path}: row {rowno}: {problem}") from None
+                label = csvio.parse_column(cells, width, il, float)
+                if not np.isfinite(label).all():
+                    raise ValueError("a label has no integer part")
+                columns.append(np.trunc(label) != 0.0)
+            return columns
+
+        def slow(rows, first, _parts):
+            ps, alphas, rejects, labels = [], [], [], []
+            try:
+                for rowno, cells in enumerate(rows, start=first):
+                    ps.append(float(cells[ip]))
+                    alphas.append(float(cells[ia]))
+                    rejects.append(bool(int(cells[ir])))
+                    if has_label:
+                        labels.append(bool(int(float(cells[il]))))
+            except UnicodeDecodeError:   # not text: no row to blame
+                raise
+            except (IndexError, ValueError, OverflowError):
+                columns = [("p", ip, float), ("alpha", ia, float),
+                           ("reject", ir, int)]
+                if has_label:
+                    columns.append(("label", il,
+                                    lambda cell: int(float(cell))))
+                problem = _bad_row(cells, columns)
+                raise ValueError(f"{path}: row {rowno}: {problem}") from None
+            columns = [np.asarray(ps, dtype=np.float64),
+                       np.asarray(alphas, dtype=np.float64),
+                       np.asarray(rejects, dtype=bool)]
+            if has_label:
+                columns.append(np.asarray(labels, dtype=bool))
+            return columns
+
+        p, alpha, rejected, *label = csvio.read_columns(fh, width, fast, slow)
     return metrics.DecisionLog(
-        p=np.asarray(ps, dtype=np.float64),
-        alpha=np.asarray(alphas, dtype=np.float64),
-        rejected=np.asarray(rejects, dtype=bool),
-        is_null=None if not has_label else ~np.asarray(labels, dtype=bool),
-    )
+        p=p, alpha=alpha, rejected=rejected,
+        is_null=~label[0] if has_label else None)
 
 
 def _outpath(args, name: str) -> str:

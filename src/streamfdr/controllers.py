@@ -514,10 +514,6 @@ class _BaseController:
             self._advance(t, p, rejected)
         return Decision(t, threshold, rejected, oracle, threshold <= floor)
 
-    def run(self, pvalues) -> list[Decision]:
-        """Process a whole sequence, returning one Decision per element."""
-        return [self.step(p) for p in pvalues]
-
     def run_array(self, pvalues):
         """Process a whole sequence into (alpha, rejected, oracle) arrays.
 

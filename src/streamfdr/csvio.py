@@ -1,0 +1,184 @@
+"""Chunked CSV reading and writing for the numeric tables of the CLI.
+
+Reading.  ``read_header`` reads the header with ``csv.reader``.
+``read_columns`` then reads the body ``CHUNK_ROWS`` lines at a time.  A
+chunk is *plain* when it holds no quote and no carriage return and each of
+its lines has exactly one comma fewer than the header has cells; a plain
+chunk is joined, split once on ``,`` and ``\\n``, and handed to the reader's
+fast parser, which parses whole columns with ``map(int, ...)`` or
+``map(float, ...)`` (``parse_column``).  A cell is therefore accepted exactly
+when Python's ``int`` or ``float`` accepts it, surrounding whitespace,
+``+.5``, ``1_0`` and ``inf`` included.  When a chunk is not plain, or the
+fast parser rejects it (a cell that does not parse, or a check of its own
+such as a gap in ``t``), that chunk and the rest of the file go to the
+reader's row loop over ``csv.reader``.  The row loop is the reference: it
+handles quoting, CRLF line ends, extra trailing cells and forward fill, and
+it names the first bad row by its file-wide number.  Apart from the parsed
+columns, memory is bounded by one chunk.
+
+Writing.  ``write_columns`` writes the header with ``csv.writer`` and the
+body ``CHUNK_ROWS`` rows at a time: each column's slice is formatted by
+``cells`` and the chunk is built with ``",".join`` and ``"\\n".join``.  Numeric
+arrays never need quoting; a chunk with a text cell that ``csv.writer``
+might quote goes through ``csv.writer``, so the bytes are always those of
+``csv.writer(fh, lineterminator="\\n")``.
+"""
+
+from __future__ import annotations
+
+import csv
+import itertools
+
+import numpy as np
+
+#: rows per chunk, for reading and for writing
+CHUNK_ROWS = 4096
+
+#: characters that can make ``csv.writer`` quote a cell
+_QUOTED = (",", '"', "\n", "\r")
+
+
+def read_header(fh):
+    """The stripped header cells of ``fh``, or None for an empty file."""
+    try:
+        header = next(csv.reader(fh), None)
+    except csv.Error as exc:
+        raise ValueError(f"{fh.name}: header: {exc}") from None
+    return None if header is None else [h.strip() for h in header]
+
+
+def parse_column(cells, width, index, kind):
+    """Column ``index`` of a plain chunk's cells (row-major, ``width`` to a
+    row), parsed by ``kind`` (``int`` or ``float``) into an int64 or float64
+    array; raises ValueError or OverflowError on a cell that does not fit."""
+    dtype = np.int64 if kind is int else np.float64
+    return np.fromiter(map(kind, cells[index::width]), dtype=dtype,
+                       count=len(cells) // width)
+
+
+def _plain_cells(lines, width):
+    text = "".join(lines)
+    if '"' in text or "\r" in text:
+        raise ValueError("needs csv quoting rules")
+    if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
+        raise ValueError("a line has another number of cells")
+    if max(map(len, lines)) > csv.field_size_limit():
+        raise ValueError("a cell may be too long for csv")
+    if not text.endswith("\n"):        # the last line of the file
+        text += "\n"
+    cells = text.replace("\n", ",").split(",")
+    cells.pop()                        # after the final line end
+    return cells
+
+
+class _Counted:
+    """Iterate ``rows``, counting the rows handed out."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.count = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        row = next(self.rows)
+        self.count += 1
+        return row
+
+
+def _raising(exc):
+    """An iterator that raises ``exc`` when it is read."""
+    raise exc
+    yield
+
+
+def read_columns(fh, width, fast, slow):
+    """Read the data rows of ``fh`` (positioned after its header) into
+    column arrays.
+
+    ``fast(cells, first_row)`` parses one plain chunk, given as its cells in
+    row-major order, ``width`` to a row, and returns a sequence of arrays; it
+    raises ValueError or OverflowError to hand the chunk over to ``slow``.
+    ``slow(rows, first_row, parts)`` parses ``csv.reader`` rows from data row
+    ``first_row`` (row 1 is the first data row) to the end of the file and
+    returns a sequence of arrays; ``parts`` holds what ``fast`` returned for
+    the chunks before.  Returns one array per column, the parts concatenated.
+
+    A row that ``csv.reader`` cannot read raises ValueError naming it.  A
+    file that is not valid text fails where the row loop meets it: the rows
+    read before the undecodable one are parsed first.
+    """
+    parts = []
+    first = 1
+    while True:
+        lines, rest = [], fh
+        try:
+            lines.extend(itertools.islice(fh, CHUNK_ROWS))
+        except UnicodeDecodeError as exc:
+            rest = _raising(exc)
+        else:
+            if lines:
+                try:
+                    parts.append(fast(_plain_cells(lines, width), first))
+                except (ValueError, OverflowError):
+                    pass
+                else:
+                    first += len(lines)
+                    continue
+        rows = _Counted(csv.reader(itertools.chain(lines, rest)))
+        try:
+            tail = slow(rows, first, parts)
+        except csv.Error as exc:   # e.g. a quote left open to the end
+            raise ValueError(
+                f"{fh.name}: row {first + rows.count}: {exc}") from None
+        return [np.concatenate(column) for column in zip(*parts, tail)]
+
+
+# ---------------------------------------------------------------------------
+# writing
+# ---------------------------------------------------------------------------
+
+def _format_cell(value) -> str:
+    """One CSV cell: None empty, bools as 0/1, floats by repr."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def cells(column) -> list:
+    """One column's CSV cells, by the rules of ``_format_cell``: numpy float
+    arrays by repr, numpy bool and integer arrays as integers, anything else
+    cell by cell."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return list(map(repr, column.tolist()))
+        if column.dtype.kind == "b":
+            return np.where(column, "1", "0").tolist()
+        if column.dtype.kind in "iu":
+            return list(map(str, column.astype(np.int64).tolist()))
+    return list(map(_format_cell, column))
+
+
+def write_columns(fh, header, columns):
+    """Write ``header`` and the rows of equal-length ``columns`` to ``fh``,
+    byte for byte as ``csv.writer(fh, lineterminator="\\n")`` would."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    # numeric arrays never need quoting; the other columns are checked
+    texts = [k for k, column in enumerate(columns)
+             if not (isinstance(column, np.ndarray)
+                     and column.dtype.kind in "fbiu")]
+    for lo in range(0, min(map(len, columns), default=0), CHUNK_ROWS):
+        chunk = [cells(column[lo:lo + CHUNK_ROWS]) for column in columns]
+        text = "".join(cell for k in texts for cell in chunk[k])
+        # a lone empty cell is quoted, to tell its row from a blank line
+        if len(columns) < 2 or any(ch in text for ch in _QUOTED):
+            writer.writerows(zip(*chunk))
+        else:
+            fh.write("\n".join(map(",".join, zip(*chunk))))
+            fh.write("\n")

@@ -11,16 +11,18 @@ scorer can be, and the decision rules downstream are what is under test.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import csvio
 from .simulation import SIDEDNESS, to_pvalue
 
 SD_FLOOR = 1e-12
+#: window cells per block of the rolling fit, which bounds its temporaries
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass
@@ -64,12 +66,9 @@ def ingest_csv(path, value_columns: Optional[Sequence[str]] = None,
     row's value is carried forward (there is nothing to carry on row 1).
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+        header = csvio.read_header(fh)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
         if value_columns is None:
             value_columns = [h for h in header if h != label_column]
         missing = [c for c in value_columns if c not in header]
@@ -79,47 +78,73 @@ def ingest_csv(path, value_columns: Optional[Sequence[str]] = None,
             raise ValueError(f"{path}: label column {label_column!r} not found")
         value_idx = [header.index(c) for c in value_columns]
         label_idx = header.index(label_column) if label_column else None
+        width = len(header)
 
-        rows, labels = [], []
-        for rowno, cells in enumerate(reader, start=1):
-            if len(cells) != len(header):
-                raise ValueError(
-                    f"{path}: row {rowno}: expected {len(header)} cells, "
-                    f"got {len(cells)}")
-            parsed = []
-            for col, idx in zip(value_columns, value_idx):
-                text = cells[idx].strip()
-                if text == "" or text.lower() == "nan":
-                    if forward_fill and rows:
-                        parsed.append(rows[-1][len(parsed)])
-                        continue
+        def fast(cells, first):
+            values = np.empty((len(cells) // width, len(value_idx)))
+            for j, idx in enumerate(value_idx):
+                values[:, j] = csvio.parse_column(cells, width, idx, float)
+            if not np.isfinite(values).all():   # the row loop fills or refuses
+                raise ValueError("a value is not finite")
+            if label_idx is None:
+                return (values,)
+            label = csvio.parse_column(cells, width, label_idx, float)
+            if not np.isfinite(label).all():
+                raise ValueError("a label has no integer part")
+            return values, np.trunc(label) != 0.0
+
+        def slow(reader, first, parts):
+            prev = parts[-1][0][-1].tolist() if parts else None
+            rows, labels = [], []
+            for rowno, cells in enumerate(reader, start=first):
+                if len(cells) != width:
                     raise ValueError(
-                        f"{path}: row {rowno}: missing value in column {col!r}"
-                        + ("" if forward_fill else " (forward fill disabled)"))
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {rowno}: bad number {text!r} in column "
-                        f"{col!r}") from None
-                if not np.isfinite(value):
-                    if forward_fill and rows:
-                        parsed.append(rows[-1][len(parsed)])
-                        continue
-                    raise ValueError(
-                        f"{path}: row {rowno}: non-finite value in column {col!r}")
-                parsed.append(value)
-            rows.append(parsed)
-            if label_idx is not None:
-                text = cells[label_idx].strip()
-                try:
-                    labels.append(bool(int(float(text))))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {rowno}: bad label {text!r}") from None
-    values = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(value_columns))
+                        f"{path}: row {rowno}: expected {width} cells, "
+                        f"got {len(cells)}")
+                parsed = []
+                for col, idx in zip(value_columns, value_idx):
+                    text = cells[idx].strip()
+                    if text == "" or text.lower() == "nan":
+                        if forward_fill and prev is not None:
+                            parsed.append(prev[len(parsed)])
+                            continue
+                        raise ValueError(
+                            f"{path}: row {rowno}: missing value in column "
+                            f"{col!r}"
+                            + ("" if forward_fill
+                               else " (forward fill disabled)"))
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: row {rowno}: bad number {text!r} in "
+                            f"column {col!r}") from None
+                    if not np.isfinite(value):
+                        if forward_fill and prev is not None:
+                            parsed.append(prev[len(parsed)])
+                            continue
+                        raise ValueError(
+                            f"{path}: row {rowno}: non-finite value in "
+                            f"column {col!r}")
+                    parsed.append(value)
+                rows.append(parsed)
+                prev = parsed
+                if label_idx is not None:
+                    text = cells[label_idx].strip()
+                    try:
+                        labels.append(bool(int(float(text))))
+                    except (ValueError, OverflowError):   # inf has no int
+                        raise ValueError(f"{path}: row {rowno}: bad label "
+                                         f"{text!r}") from None
+            values = np.asarray(rows, dtype=np.float64).reshape(
+                len(rows), len(value_columns))
+            if label_idx is None:
+                return (values,)
+            return values, np.asarray(labels, dtype=bool)
+
+        values, *labels = csvio.read_columns(fh, width, fast, slow)
     return SeriesFrame(values=values, columns=list(value_columns),
-                       labels=np.asarray(labels, dtype=bool) if labels else None)
+                       labels=labels[0] if labels and len(values) else None)
 
 
 def rolling_gaussian_pvalues(series, window: int, sidedness: str = "two",
@@ -143,8 +168,14 @@ def rolling_gaussian_pvalues(series, window: int, sidedness: str = "two",
     if n <= window:
         return p
     windows = sliding_window_view(x, window)[:-1]    # history for rows window..n-1
-    mean = windows.mean(axis=-1)
-    sd = windows.std(axis=-1, ddof=1)
+    mean = np.empty(n - window)
+    sd = np.empty(n - window)
+    # block by block: each window's sums are the same as in one pass
+    rows = max(1, _BLOCK_CELLS // window)
+    for lo in range(0, n - window, rows):
+        block = windows[lo:lo + rows]
+        mean[lo:lo + rows] = block.mean(axis=-1)
+        sd[lo:lo + rows] = block.std(axis=-1, ddof=1)
     sd = np.maximum(sd, sd_floor)
     resid = (x[window:] - mean) / sd
     p[window:] = to_pvalue(resid, sidedness)

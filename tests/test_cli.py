@@ -285,6 +285,129 @@ class TestScore:
         assert p250 < 1e-10
 
 
+    @pytest.mark.parametrize("cell", ["inf", "1e400", "-inf"])
+    def test_infinite_label_exits_2_naming_it(self, tmp_path, capsys, cell):
+        series = tmp_path / "series.csv"
+        series.write_text("x,label\n" + "".join(
+            f"{i / 7!r},{cell if i == 40 else 0}\n" for i in range(60)))
+        code = run("--output-dir", tmp_path, "score", "--input", series,
+                   "--label-column", "label", "--window", "5")
+        assert code == cli.EXIT_VALIDATION
+        assert f"row 41: bad label {cell!r}" in capsys.readouterr().err
+
+
+#: malformed inputs are this long, so a bad row sits in a later chunk
+LONG_ROWS = 9000
+BAD_ROW = 5000
+
+
+def _edit_cell(col, value):
+    def edit(lines):
+        cells = lines[BAD_ROW].split(",")
+        cells[col] = value
+        lines[BAD_ROW] = ",".join(cells)
+    return edit
+
+
+def _edit_line(row, change):
+    def edit(lines):
+        lines[row] = change(lines[row])
+    return edit
+
+
+def _blank_line(lines):
+    lines.insert(BAD_ROW, "")
+
+
+def _bom(lines):
+    lines[0] = "\ufeff" + lines[0]
+
+
+#: (id, edit, expected message part) per command; BAD_ROW is the row named
+#: unless the part says otherwise.  Cell 1 is p for detect and verify; cell
+#: 0 is the first value column for score.
+_COMMON = [
+    ("ragged", _edit_line(BAD_ROW, lambda line: line.rsplit(",", 1)[0]),
+     ", got "),
+    ("blank-line", _blank_line, "got 0"),
+    ("lone-quote", _edit_line(BAD_ROW, lambda line: '"' + line),
+     f"row {BAD_ROW}:"),
+    ("lone-quote-early", _edit_line(2, lambda line: '"' + line),
+     "row 2: field larger than field limit"),
+    ("non-utf8", None, "codec can't decode"),
+]
+MALFORMED = {
+    "detect": _COMMON + [
+        ("non-numeric", _edit_cell(1, "abc"), "cannot read p from 'abc'"),
+        ("p-nan", _edit_cell(1, "nan"), "p-value must lie in [0, 1], got nan"),
+        ("p-above-1", _edit_cell(1, "1.5"), "got 1.5"),
+        ("t-gap", _edit_cell(0, str(BAD_ROW + 1)), "gapless"),
+        ("bom-header", _bom, "expected columns t,p[,label]"),
+    ],
+    "verify": _COMMON + [
+        ("non-numeric", _edit_cell(1, "abc"), "cannot read p from 'abc'"),
+        ("reject-not-integer", _edit_cell(3, "0.5"), "cannot read reject"),
+        ("label-nan", _edit_cell(4, "nan"), "cannot read label from 'nan'"),
+        ("bom-header", _bom, "missing column 't'"),
+    ],
+    "score": _COMMON + [
+        ("non-numeric", _edit_cell(0, "abc"), "bad number 'abc'"),
+        ("value-nan", _edit_cell(0, "nan"), "missing value in column 'x0'"),
+        ("label-inf", _edit_cell(2, "inf"), "bad label 'inf'"),
+        ("bom-header", _bom, "columns not found"),
+    ],
+}
+
+
+class TestMalformedInput:
+    """Every malformed input exits 2, without a traceback, naming the row
+    where there is one; the files span several read chunks."""
+
+    def _valid(self, tmp_path, command):
+        """A valid input of ``command`` and the argv that reads it."""
+        if command == "score":
+            rng = np.random.default_rng(2)
+            path = tmp_path / "series.csv"
+            path.write_text("x0,x1,label\n" + "".join(
+                f"{a!r},{b!r},0\n"
+                for a, b in rng.standard_normal((LONG_ROWS, 2)).tolist()))
+            return path, ["score", "--input", path, "--columns", "x0,x1",
+                          "--label-column", "label", "--window", "20"]
+        stream = simulate(tmp_path, pi1=0.01, length=LONG_ROWS)
+        if command == "detect":
+            return stream, ["detect", "--input", stream,
+                            "--method", "lord-decay", "--out", "det"]
+        assert run("--output-dir", tmp_path, "detect", "--input", stream,
+                   "--method", "lord-decay", "--out", "det") == 0
+        log = tmp_path / "det.csv"
+        return log, ["verify", "--input", log, "--manifest",
+                     tmp_path / "det.manifest.json", "--allow-modified"]
+
+    @pytest.mark.parametrize("command, case, edit, part", [
+        pytest.param(command, case, edit, part, id=f"{command}-{case}")
+        for command, cases in MALFORMED.items()
+        for case, edit, part in cases
+    ])
+    def test_exits_2_naming_the_row(self, tmp_path, capsys, command, case,
+                                    edit, part):
+        path, argv = self._valid(tmp_path, command)
+        if edit is None:             # a byte that is not UTF-8, in BAD_ROW
+            data = path.read_bytes().split(b"\n")
+            data[BAD_ROW] = b"\xff" + data[BAD_ROW]
+            path.write_bytes(b"\n".join(data))
+        else:
+            lines = path.read_text().split("\n")
+            edit(lines)
+            path.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert run("--output-dir", tmp_path, *argv) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert part in err and "Traceback" not in err
+        if "row " in part or case in ("non-utf8", "bom-header"):
+            return
+        assert f"row {BAD_ROW}:" in err
+
+
 class TestSweepAndRerun:
     def test_fig4_preset_schema(self, tmp_path):
         code = run("--output-dir", tmp_path, "sweep", "--preset", "fig4",

@@ -1,0 +1,302 @@
+"""The chunked CSV reader and writer against their reference paths.
+
+Each reader's fast path (whole plain chunks parsed by ``map(int|float)``)
+must give the same arrays, bit for bit, and the same errors as its
+``csv.reader`` row loop, which ``_outcome(..., slow=True)`` forces on
+every chunk.  The writer must give the bytes of ``csv.writer``.
+"""
+
+import contextlib
+import csv
+import io
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from streamfdr import cli, csvio, forecaster
+
+#: a small chunk, so that a short example spans several chunks
+SMALL_CHUNK = 3
+
+P_GOOD = ["0.5", " 0.5 ", "+.5", "5e-1", "0.25", "1", "0", "1e-300", "0.1_5",
+          "0.3333333333333333", '"0.75"', "\t0.5"]
+P_BAD = ["nan", "inf", "1_0", "", "abc", "-0.1", "1.5", "0x1", '"0.5']
+LABEL_GOOD = ["0", "1", " 1 ", "1.0", "-2.5", "0.9", "+1", "1_1"]
+LABEL_BAD = ["inf", "1e400", "nan", "x", ""]
+REJECT_GOOD = ["0", "1", " 1", "+0", "1_0", "00", "99999999999999999999999"]
+REJECT_BAD = ["1.0", "x", ""]
+VALUE_GOOD = ["1.5", " 0.5 ", "+.5", "5e-1", "1_0", "-3", "2.5e3",
+              "0.30000000000000004", '"7"']
+VALUE_BAD = ["", "nan", "NaN", "inf", "-inf", "abc", "1e400"]
+
+
+def _t_good(i):
+    return [str(i), f" {i}", f"{i:04d}", f"+{i}", f"{i} "]
+
+
+def _t_bad(i):
+    return [str(i + 1), "x", "", "1.0"]
+
+
+@st.composite
+def csv_texts(draw, header, pools, extra_ok=False):
+    """A CSV text: ``header`` and up to 12 rows whose cells come from
+    ``pools`` (per column: (good, bad), lists or functions of the row
+    number).  Half the files hold only good cells; any file may use CRLF
+    line ends, lack its last line end, or hold ragged, padded or blank
+    lines."""
+    noisy = draw(st.booleans())
+    eol = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    lines = [",".join(header)]
+    for i in range(1, draw(st.integers(0, 12)) + 1):
+        cells = []
+        for good, bad in pools:
+            good = good(i) if callable(good) else good
+            bad = bad(i) if callable(bad) else bad
+            pool = good * 4 + bad if noisy else good
+            cells.append(draw(st.sampled_from(pool)))
+        shape = draw(st.sampled_from(["as is"] * 12 + ["short", "extra",
+                                                       "blank"]))
+        if noisy or (extra_ok and shape == "extra"):
+            if shape == "short":
+                cells = cells[:-1]
+            elif shape == "extra":
+                cells = cells + ["z"]
+            elif shape == "blank":
+                cells = []
+        lines.append(",".join(cells))
+    text = eol.join(lines)
+    return text + eol if draw(st.booleans()) else text
+
+
+def _arrays(value):
+    if isinstance(value, tuple):
+        return [a for v in value for a in _arrays(v)]
+    if isinstance(value, forecaster.SeriesFrame):
+        return _arrays((value.values, value.labels))
+    if hasattr(value, "rejected"):     # a DecisionLog
+        return _arrays((value.p, value.alpha, value.rejected, value.is_null))
+    if value is None:
+        return [None]
+    return [(value.dtype.str, value.shape, value.tobytes())]
+
+
+def _outcome(read, path, slow=False):
+    """The arrays ``read(path)`` returns, or its error message."""
+    forced = (mock.patch.object(csvio, "_plain_cells", side_effect=ValueError)
+              if slow else contextlib.nullcontext())
+    with forced, mock.patch.object(csvio, "CHUNK_ROWS", SMALL_CHUNK):
+        try:
+            return _arrays(read(path))
+        except ValueError as exc:
+            return str(exc)
+
+
+def _same_both_ways(tmp_path_factory, text, read):
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    path.write_bytes(text.encode())
+    fast = _outcome(read, path)
+    assert fast == _outcome(read, path, slow=True)
+    return fast
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), label=st.booleans())
+def test_stream_reader_fast_equals_row_loop(tmp_path_factory, data, label):
+    header = ["t", "p"] + (["label"] if label else [])
+    pools = [(_t_good, _t_bad), (P_GOOD, P_BAD)]
+    if label:
+        pools.append((LABEL_GOOD, LABEL_BAD))
+    text = data.draw(csv_texts(header, pools, extra_ok=True))
+    _same_both_ways(tmp_path_factory, text, cli.read_stream_csv)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), label=st.booleans())
+def test_decision_reader_fast_equals_row_loop(tmp_path_factory, data, label):
+    names = ["t", "p", "alpha", "reject"] + (["label"] if label else [])
+    header = data.draw(st.permutations(names))
+    pools = {"t": (_t_good, ["x"]), "p": (P_GOOD, P_BAD),
+             "alpha": (P_GOOD, P_BAD), "reject": (REJECT_GOOD, REJECT_BAD),
+             "label": (LABEL_GOOD, LABEL_BAD)}
+    text = data.draw(csv_texts(header, [pools[h] for h in header],
+                               extra_ok=True))
+    _same_both_ways(tmp_path_factory, text, cli.read_decisions_csv)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), label=st.booleans(), fill=st.booleans())
+def test_series_reader_fast_equals_row_loop(tmp_path_factory, data, label,
+                                            fill):
+    names = ["x0", "x1"] + (["label"] if label else [])
+    header = data.draw(st.permutations(names))
+    pools = {"x0": (VALUE_GOOD, VALUE_BAD), "x1": (VALUE_GOOD, VALUE_BAD),
+             "label": (LABEL_GOOD, LABEL_BAD)}
+    text = data.draw(csv_texts(header, [pools[h] for h in header]))
+
+    def read(path):
+        return forecaster.ingest_csv(
+            path, label_column="label" if label else None, forward_fill=fill)
+    _same_both_ways(tmp_path_factory, text, read)
+
+
+def _stream_text(n, bad_row=None, bad_line="x,0.5"):
+    rng = np.random.default_rng(n)
+    rows = [f"{i},{p!r},{int(p < 0.1)}"
+            for i, p in enumerate(rng.random(n).tolist(), start=1)]
+    if bad_row is not None:
+        rows[bad_row - 1] = bad_line
+    return "t,p,label\n" + "\n".join(rows) + "\n"
+
+
+class TestReadColumns:
+    def _trace(self, text, chunk):
+        calls = []
+
+        def fast(cells, first):
+            calls.append(("fast", first, len(cells) // 2))
+            return (np.asarray(csvio.parse_column(cells, 2, 1, float)),)
+
+        def slow(rows, first, parts):
+            rows = list(rows)
+            calls.append(("slow", first, len(rows), len(parts)))
+            return (np.asarray([float(r[1]) for r in rows]),)
+
+        fh = io.StringIO(text, newline="")
+        assert csvio.read_header(fh) == ["t", "p"]
+        with mock.patch.object(csvio, "CHUNK_ROWS", chunk):
+            p, = csvio.read_columns(fh, 2, fast, slow)
+        return calls, p
+
+    def test_plain_chunks_take_the_fast_path(self):
+        text = "t,p\n" + "".join(f"{i},{i / 10}\n" for i in range(1, 11))
+        calls, p = self._trace(text, 4)
+        assert calls == [("fast", 1, 4), ("fast", 5, 4), ("fast", 9, 2),
+                         ("slow", 11, 0, 3)]
+        np.testing.assert_array_equal(p, np.arange(1, 11) / 10)
+
+    def test_a_quoted_chunk_and_the_rest_take_the_row_loop(self):
+        text = "t,p\n" + "".join(f"{i},{i / 10}\n" for i in range(1, 11))
+        text = text.replace("6,0.6", '6,"0.6"')
+        calls, p = self._trace(text, 4)
+        assert calls == [("fast", 1, 4), ("slow", 5, 6, 1)]
+        np.testing.assert_array_equal(p, np.arange(1, 11) / 10)
+
+    def test_empty_body(self):
+        calls, p = self._trace("t,p\n", 4)
+        assert calls == [("slow", 1, 0, 0)] and p.size == 0
+
+
+class TestChunkBoundaries:
+    """Files longer than one real chunk, with a bad row in a later chunk."""
+
+    def test_long_file_reads_like_the_row_loop(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(_stream_text(2 * csvio.CHUNK_ROWS + 5))
+        p, is_null = cli.read_stream_csv(path)
+        assert p.size == 2 * csvio.CHUNK_ROWS + 5
+        with mock.patch.object(csvio, "_plain_cells", side_effect=ValueError):
+            p_slow, is_null_slow = cli.read_stream_csv(path)
+        assert p.tobytes() == p_slow.tobytes()
+        assert is_null.tobytes() == is_null_slow.tobytes()
+
+    @pytest.mark.parametrize("bad_line, problem", [
+        ("x,0.5,0", "cannot read t from 'x'"),
+        ("4500,0.5", "expected 3 columns, got 2"),
+        ("4501,0.5,0", "indices must be gapless from 1"),
+        ('4500,"0.5,0', "expected 3 columns, got 2"),
+    ])
+    def test_bad_row_in_second_chunk_named_file_wide(self, tmp_path,
+                                                     bad_line, problem):
+        path = tmp_path / "s.csv"
+        path.write_text(_stream_text(csvio.CHUNK_ROWS + 1000, 4500, bad_line))
+        with pytest.raises(ValueError, match=f"row 4500: {problem}"):
+            cli.read_stream_csv(path)
+
+    def test_p_out_of_range_in_third_chunk(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(_stream_text(3 * csvio.CHUNK_ROWS, 9000,
+                                     "9000,1.25,0"))
+        with pytest.raises(ValueError, match=r"row 9000: p-value must lie "
+                                             r"in \[0, 1\], got 1.25"):
+            cli.read_stream_csv(path)
+
+    def test_bad_row_before_an_undecodable_byte_is_named(self, tmp_path):
+        # the byte lies past the first decoded block, inside the first chunk
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"t,p\n1,0.5\n2,x\n" + b"3,0.5\n" * 5000 + b"\xff\n")
+        with pytest.raises(ValueError, match="row 2: cannot read p from 'x'"):
+            cli.read_stream_csv(path)
+        path.write_bytes(b"t,p\n" + b"".join(
+            b"%d,0.5\n" % i for i in range(1, 5001)) + b"\xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            cli.read_stream_csv(path)
+
+    def test_forward_fill_across_a_chunk_edge(self, tmp_path):
+        n = csvio.CHUNK_ROWS + 3
+        rows = [f"{i}.5,{i}" for i in range(n)]
+        rows[csvio.CHUNK_ROWS] = ",nan"       # first row of the 2nd chunk
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n" + "\n".join(rows) + "\n")
+        frame = forecaster.ingest_csv(path, forward_fill=True)
+        last = csvio.CHUNK_ROWS - 1
+        assert frame.values[csvio.CHUNK_ROWS].tolist() == [last + 0.5, last]
+
+
+def _csv_writer_bytes(header, columns):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*map(csvio.cells, columns)))
+    return buf.getvalue()
+
+
+def _write_bytes(header, columns):
+    buf = io.StringIO(newline="")
+    csvio.write_columns(buf, header, columns)
+    return buf.getvalue()
+
+
+TEXT_CELLS = st.one_of(
+    st.sampled_from(["lord", "with,comma", 'a "quote"', "line\nbreak",
+                     "cr\rhere", "", " pad ", "x"]),
+    st.none(), st.booleans(), st.integers(-10**20, 10**20),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestWriter:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(0, 10), width=st.integers(1, 4))
+    def test_bytes_equal_csv_writer(self, data, n, width):
+        columns = []
+        for _ in range(width):
+            kind = data.draw(st.sampled_from(["f", "i", "b", "text"]))
+            if kind == "f":
+                col = np.asarray(data.draw(st.lists(
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    min_size=n, max_size=n)), dtype=np.float64)
+            elif kind == "i":
+                col = np.asarray(data.draw(st.lists(
+                    st.integers(-2**62, 2**62), min_size=n, max_size=n)),
+                    dtype=np.int64)
+            elif kind == "b":
+                col = np.asarray(data.draw(st.lists(
+                    st.booleans(), min_size=n, max_size=n)), dtype=bool)
+            else:
+                col = data.draw(st.lists(TEXT_CELLS, min_size=n, max_size=n))
+            columns.append(col)
+        header = [f"c{i}" for i in range(width)]
+        with mock.patch.object(csvio, "CHUNK_ROWS", SMALL_CHUNK):
+            assert _write_bytes(header, columns) == _csv_writer_bytes(
+                header, columns)
+
+    def test_long_columns_equal_csv_writer(self):
+        rng = np.random.default_rng(4)
+        n = 2 * csvio.CHUNK_ROWS + 17
+        columns = [np.arange(1, n + 1), rng.random(n), rng.random(n) < 0.3,
+                   ["a,b" if i == n - 3 else "m" for i in range(n)]]
+        header = ["t", "p", "reject", "note"]
+        assert _write_bytes(header, columns) == _csv_writer_bytes(
+            header, columns)

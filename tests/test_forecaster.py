@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from streamfdr import metrics
+from streamfdr import forecaster, metrics
 from streamfdr.controllers import make_controller
 from streamfdr.forecaster import (SeriesFrame, ingest_csv, min_across_dims,
                                   rolling_gaussian_pvalues, score_frame)
@@ -62,6 +65,25 @@ class TestRollingPvalues:
         lo = rolling_gaussian_pvalues(x, window=20, sidedness="lower")
         assert up[20] < 1e-6
         assert lo[20] > 1.0 - 1e-6
+
+    @pytest.mark.parametrize("block_cells", [None, 7 * 4, 7 * 5 + 3])
+    @pytest.mark.parametrize("n", [5, 7, 8, 9, 30, 31, 34, 35, 1001, 40000])
+    def test_blocks_equal_one_pass_bit_for_bit(self, n, block_cells):
+        """The block-by-block fit gives the bytes of one pass over all
+        windows; n runs from below the window to many blocks, on and off
+        block multiples (7 + 4k rows fill the 4-row blocks exactly)."""
+        window = 7
+        x = np.random.default_rng(n).standard_normal(n) * 1e3
+        expected = np.ones(n)
+        if n > window:
+            windows = sliding_window_view(x, window)[:-1]
+            sd = np.maximum(windows.std(axis=-1, ddof=1), forecaster.SD_FLOOR)
+            resid = (x[window:] - windows.mean(axis=-1)) / sd
+            expected[window:] = to_pvalue(resid, "two")
+        with mock.patch.object(forecaster, "_BLOCK_CELLS",
+                               block_cells or forecaster._BLOCK_CELLS):
+            got = rolling_gaussian_pvalues(x, window)
+        assert got.tobytes() == expected.tobytes()
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
