@@ -85,9 +85,10 @@ def write_manifest(path, command: str, resolved: dict, inputs: dict,
     })
 
 
-def _bad_row(cells, columns) -> str:
+def _bad_row(cells, columns, gap="indices must be gapless from 1") -> str:
     """What is wrong with a row that failed to parse; ``columns`` holds the
-    (name, index, parser) of each cell the reader parses."""
+    (name, index, parser) of each cell the reader parses, and ``gap`` says
+    what is wrong when each cell parses."""
     width = max(i for _, i, _ in columns) + 1
     if len(cells) < width:
         return f"expected {width} columns, got {len(cells)}"
@@ -96,7 +97,7 @@ def _bad_row(cells, columns) -> str:
             parse(cells[i])
         except (ValueError, OverflowError):
             return f"cannot read {name} from {cells[i]!r}"
-    return "indices must be gapless from 1"
+    return gap
 
 
 def read_stream_csv(path):
@@ -147,10 +148,7 @@ def read_stream_csv(path):
             return columns
 
         p, *label = csvio.read_columns(fh, width, fast, slow)
-    bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
-    if bad.size:
-        raise ValueError(f"{path}: row {bad[0] + 1}: p-value must lie in "
-                         f"[0, 1], got {float(p[bad[0]])!r}")
+    _check_p(path, p)
     if not has_label:
         return p, None
     label, = label
@@ -162,9 +160,19 @@ def read_stream_csv(path):
     return p, np.trunc(label) == 0.0
 
 
+def _check_p(path, p):
+    """ValueError naming the first row whose p-value is not in [0, 1]."""
+    bad = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+    if bad.size:
+        raise ValueError(f"{path}: row {bad[0] + 1}: p-value must lie in "
+                         f"[0, 1], got {float(p[bad[0]])!r}")
+
+
 def read_decisions_csv(path) -> metrics.DecisionLog:
     """Read a (t,p,alpha,reject[,label]) decision log.
 
+    ``t`` must count up by 1 from the first row, whose ``t`` may exceed 1
+    (a resumed log starts after its snapshot), and ``p`` must lie in [0, 1].
     A malformed row raises ValueError naming it (row 1 is the first data row).
     """
     with open(path, newline="") as fh:
@@ -175,11 +183,21 @@ def read_decisions_csv(path) -> metrics.DecisionLog:
             if col not in header:
                 raise ValueError(f"{path}: missing column {col!r}")
         has_label = "label" in header
-        ip, ia, ir = (header.index(c) for c in ("p", "alpha", "reject"))
+        it, ip, ia, ir = (header.index(c)
+                          for c in ("t", "p", "alpha", "reject"))
         il = header.index("label") if has_label else None
         width = len(header)
+        gap = "t must count up by 1 from a first t of 1 or more"
+        skew = 0    # t minus the row number, fixed by the first row
 
         def fast(cells, first):
+            nonlocal skew
+            t = csvio.parse_column(cells, width, it, int)
+            if first == 1:
+                skew = int(t[0]) - 1
+            if skew < 0 or not np.array_equal(
+                    t, np.arange(first + skew, first + skew + t.size)):
+                raise ValueError("t does not count up by 1")
             columns = [csvio.parse_column(cells, width, ip, float),
                        csvio.parse_column(cells, width, ia, float),
                        csvio.parse_column(cells, width, ir, int) != 0]
@@ -191,9 +209,15 @@ def read_decisions_csv(path) -> metrics.DecisionLog:
             return columns
 
         def slow(rows, first, _parts):
+            nonlocal skew
             ps, alphas, rejects, labels = [], [], [], []
             try:
                 for rowno, cells in enumerate(rows, start=first):
+                    t = int(cells[it])
+                    if rowno == 1:
+                        skew = t - 1
+                    if skew < 0 or t != rowno + skew:
+                        raise ValueError
                     ps.append(float(cells[ip]))
                     alphas.append(float(cells[ia]))
                     rejects.append(bool(int(cells[ir])))
@@ -202,12 +226,12 @@ def read_decisions_csv(path) -> metrics.DecisionLog:
             except UnicodeDecodeError:   # not text: no row to blame
                 raise
             except (IndexError, ValueError, OverflowError):
-                columns = [("p", ip, float), ("alpha", ia, float),
-                           ("reject", ir, int)]
+                columns = [("t", it, int), ("p", ip, float),
+                           ("alpha", ia, float), ("reject", ir, int)]
                 if has_label:
                     columns.append(("label", il,
                                     lambda cell: int(float(cell))))
-                problem = _bad_row(cells, columns)
+                problem = _bad_row(cells, columns, gap)
                 raise ValueError(f"{path}: row {rowno}: {problem}") from None
             columns = [np.asarray(ps, dtype=np.float64),
                        np.asarray(alphas, dtype=np.float64),
@@ -217,6 +241,7 @@ def read_decisions_csv(path) -> metrics.DecisionLog:
             return columns
 
         p, alpha, rejected, *label = csvio.read_columns(fh, width, fast, slow)
+    _check_p(path, p)
     return metrics.DecisionLog(
         p=p, alpha=alpha, rejected=rejected,
         is_null=~label[0] if has_label else None)

@@ -37,14 +37,15 @@ them from there.
 
 Decay kernel
 ------------
-With delta < 1 the LORD rules (all but ``lord``) credit each rejection with
-one fixed kernel: a rejection at r adds h(t - r) to every later threshold,
-h(u) = coef * delta**u * gamma_{u-L}, for u = 1..W, where delta**W is the
-first power below ``prune_epsilon``.  Those controllers keep the kernel's
-sum for the next steps in a future-contribution buffer, so a step reads
-one cell, and ``run_array`` scans whole chunks up to the next rejection.  The
-undecayed rules and the ADDIS family take a dot product over the live
-rejection terms instead.
+Every LORD rule credits each rejection with one fixed kernel: a rejection
+at r adds h(t - r) to every later threshold, h(u) = coef * delta**u *
+gamma_{u-L}, for u = 1..W.  With delta < 1, delta**W is the first power
+below ``prune_epsilon``; with delta = 1 (``lord``, or any LORD rule run
+undecayed) h(u) = coef * gamma_{u-L} and W is the first u > L with
+gamma_{u-L} below ``prune_epsilon``.  The controller keeps the kernel's sum
+for the next steps in a future-contribution buffer, so a step reads one
+cell, and ``run_array`` scans whole chunks up to the next rejection.  Only
+the ADDIS family takes a dot product over the live rejection terms.
 
 State is prunable (dropping a rejection term only lowers thresholds, so
 memory stays bounded on infinite streams), serializable to a versioned
@@ -156,6 +157,9 @@ SNAPSHOT_VERSION = 1
 _BLOCK = 1024
 #: powers of delta computed per numpy call when building decay tables
 _CHUNK = 1 << 16
+#: the decay table of the undecayed kernel: every power of 1 is 1
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
 #: ``run_array`` steps one row at a time, not scanning, after a rejection
 #: that came within this many rows of the previous one
 _DENSE = 8
@@ -352,7 +356,8 @@ def _power_runs(value: float, delta: float):
 
 @lru_cache(maxsize=8)
 def _decay_table(delta: float, eps: float, cap: int):
-    """Decay weights delta**u for u = 0..n, and the age at which to prune.
+    """Decay weights delta**u for u = 0..n, and the age at which to prune,
+    for delta < 1 (the undecayed kernel needs no table: ``_undecayed_age``).
 
     The table stops at the first power below ``eps`` (the weight a rejection
     term is last used with before it is pruned), at ``cap``, past which the
@@ -374,6 +379,18 @@ def _decay_table(delta: float, eps: float, cap: int):
     table = np.concatenate(pieces)
     table.flags.writeable = False
     return table, (n if eps > 0.0 else None)
+
+
+def _undecayed_age(gamma: GammaSequence, eps: float, lag: int):
+    """The age at which an undecayed rejection term is pruned: the first
+    u > lag with gamma_{u-lag} < ``eps``, or None when ``eps`` is 0.
+
+    gamma is non-increasing, so the weights at or above ``eps`` are a prefix
+    of its table.
+    """
+    if eps == 0.0:
+        return None
+    return lag + 1 + int(np.count_nonzero(gamma.table >= eps))
 
 
 def _powers_at(table: np.ndarray, delta: float, ages: np.ndarray) -> np.ndarray:
@@ -406,8 +423,8 @@ class _BaseController:
     A family supplies ``_raw(t)``, its threshold at step t before the
     dependence correction and the clip at 1, and ``_advance(t, p, rejected)``,
     its bookkeeping after the decision, which runs after every rejection and
-    at every step from ``_due`` on.  ``_extra_state`` and ``_load_extra``
-    carry its own snapshot fields.
+    at every step from ``_due`` on.  ``_decay_weights``, ``_extra_state``
+    and ``_load_extra`` carry its own snapshot fields.
     """
 
     family: str = ""
@@ -433,11 +450,10 @@ class _BaseController:
         self._rdelta = 0.0   # discounted rejection count R_delta
         self._q = 0.0        # harmonic divisor q(t), if correction enabled
         self._rho = np.zeros(64, dtype=np.int64)
-        self._decay = np.zeros(64, dtype=np.float64)
         self._start = 0
         self._k = 0
         #: per-rejection arrays, kept parallel to the rejection times _rho
-        self._columns = ("_rho", "_decay")
+        self._columns = ("_rho",)
         #: the next step whose bookkeeping must run without a rejection
         self._due = 0
 
@@ -552,7 +568,9 @@ class _BaseController:
     # -- snapshots ---------------------------------------------------------
 
     def _decay_weights(self) -> list[float]:
-        return self._decay[self._live()].tolist()
+        """The decay weight of each held rejection term (the fixed rule
+        holds none)."""
+        return []
 
     def _extra_state(self) -> dict:
         return {}
@@ -622,9 +640,6 @@ class _BaseController:
         size = max(64, int(times.size))
         self._rho = np.zeros(size, dtype=np.int64)
         self._rho[:times.size] = times
-        if self._decay is not None:
-            self._decay = np.zeros(size, dtype=np.float64)
-            self._decay[:times.size] = weights
         self._start = 0
         self._k = int(times.size)
         self._t = t
@@ -636,9 +651,8 @@ class _BaseController:
 class LordController(_BaseController):
     """LORD and its memory-decay / dependency-lagged / w0 variants.
 
-    With delta < 1 the rejection credit comes from the decay kernel (see the
-    module docstring); with delta = 1 from a dot product over the live
-    rejection terms.
+    The rejection credit comes from the decay kernel (see the module
+    docstring), for every delta in (0, 1].
     """
 
     family = "lord"
@@ -647,28 +661,31 @@ class LordController(_BaseController):
         super().__init__(config)
         self._rho1: Optional[int] = None
         self._decay1 = 0.0
-        self._lag = config.lag
-        self._kernel = None
-        if config.delta != 1.0:
-            self._init_kernel()
-
-    def _init_kernel(self):
-        cfg = self.config
-        powers, self._prune_age = _decay_table(
-            cfg.delta, cfg.prune_epsilon, cfg.horizon + cfg.lag)
-        kernel = powers * self._gamma.weights(np.arange(powers.size) - cfg.lag)
-        if cfg.lag_decay_exponent and cfg.lag:
+        cap = config.horizon + config.lag
+        if config.delta == 1.0:
+            # undecayed: every power is 1, so the kernel is gamma itself,
+            # shifted by the lag
+            self._powers = _ONE
+            self._prune_age = _undecayed_age(self._gamma, config.prune_epsilon,
+                                             config.lag)
+            size = 1 + (cap if self._prune_age is None else self._prune_age)
+            gamma = self._gamma.table[:size - config.lag - 1]
+            kernel = np.zeros(size, dtype=np.float64)
+            kernel[config.lag + 1:config.lag + 1 + gamma.size] = gamma
+        else:
+            self._powers, self._prune_age = _decay_table(
+                config.delta, config.prune_epsilon, cap)
+            kernel = self._powers * self._gamma.weights(
+                np.arange(self._powers.size) - config.lag)
+        if config.lag_decay_exponent and config.lag:
             # main-text dependency form: the decay exponent is lagged as well
-            kernel *= cfg.delta ** (-cfg.lag)
+            kernel *= config.delta ** (-config.lag)
         kernel *= self._rej_coef
         kernel.flags.writeable = False
-        self._powers = powers   # delta**u, u = 0..n
         self._kernel = kernel   # credit of one rejection u = 0..n steps later
         self._buf = np.zeros(_BLOCK, dtype=np.float64)
         self._base = 0
         self._due = _BLOCK
-        self._decay = None
-        self._columns = ("_rho",)
 
     def _classic_pre(self, t: int) -> float:
         """The classic spending beside the rejection credit at time t."""
@@ -691,20 +708,9 @@ class LordController(_BaseController):
         return self._pre_coef * (d1 * gt - d1 * g1)
 
     def _raw(self, t: int) -> float:
-        if self._kernel is None:
-            if self._k:
-                live = self._live()
-                idx = t - self._rho[live]
-                if self._lag:
-                    idx = idx - self._lag
-                s = float(np.dot(self._decay[live], self._gamma.weights(idx)))
-            else:
-                s = 0.0
-            credit = self._rej_coef * s
-        else:
-            if self._rho1 is not None:
-                self._decay1 *= self.config.delta
-            credit = float(self._buf[t - self._base - 1])
+        if self._rho1 is not None:
+            self._decay1 *= self.config.delta
+        credit = float(self._buf[t - self._base - 1])
         if self._tilde is None:
             return self._classic_pre(t) + credit
         return self._pre_coef * self._tilde.weight(t) + credit
@@ -712,32 +718,15 @@ class LordController(_BaseController):
     def _advance(self, t: int, p: float, rejected: bool):
         if rejected:
             self._record_rejection(t)
-        if self._kernel is None:
-            self._prune_undecayed(t)
-        elif t == self._due:
+        if t == self._due:
             self._refill(t)
 
     def _record_rejection(self, t: int):
-        i = self._append_rejection(t)
-        if self._kernel is None:
-            self._decay[i] = 1.0
-        else:
-            self._add_kernel(t)
+        self._append_rejection(t)
+        self._add_kernel(t)
         if self._rho1 is None:
             self._rho1 = t
             self._decay1 = 1.0
-
-    def _prune_undecayed(self, t: int):
-        eps = self.config.prune_epsilon
-        # lagged terms start contributing only once t - rho > lag, so never
-        # drop an entry whose gamma index has not turned positive
-        while eps > 0.0 and self._k:
-            idx = t - int(self._rho[self._start]) - self._lag
-            if idx >= 1 and self._gamma.weight(idx) < eps:
-                self._start += 1
-                self._k -= 1
-            else:
-                break
 
     # -- decay kernel --------------------------------------------------------
 
@@ -751,7 +740,7 @@ class LordController(_BaseController):
 
     def _prune(self, now: int):
         """Drop the rejections whose kernel ended by ``now``."""
-        if self._kernel is not None and self._prune_age is not None and self._k:
+        if self._prune_age is not None and self._k:
             live = self._rho[self._live()]
             drop = int(np.searchsorted(live, now - self._prune_age, side="right"))
             self._start += drop
@@ -775,8 +764,6 @@ class LordController(_BaseController):
             self._add_kernel(r)
 
     def _run_array(self, p: np.ndarray):
-        if self._kernel is None:
-            return super()._run_array(p)
         cfg = self.config
         delta = cfg.delta
         n = p.size
@@ -854,8 +841,6 @@ class LordController(_BaseController):
     # -- snapshots -----------------------------------------------------------
 
     def _decay_weights(self) -> list[float]:
-        if self._kernel is None:
-            return super()._decay_weights()
         self._prune(self._t)
         ages = self._t - self._rho[self._live()]
         return _powers_at(self._powers, self.config.delta, ages).tolist()
@@ -871,8 +856,7 @@ class LordController(_BaseController):
         _check(self._rho1 is None or 1 <= self._rho1 <= self._t,
                "first rejection time outside 1..t")
         _check(0.0 <= self._decay1 <= 1.0, "first decay weight outside [0, 1]")
-        if self._kernel is not None:
-            self._refill(self._t)
+        self._refill(self._t)
 
 
 class AddisController(_BaseController):
@@ -888,6 +872,7 @@ class AddisController(_BaseController):
 
     def __init__(self, config: ControllerConfig):
         super().__init__(config)
+        self._decay = np.zeros(64, dtype=np.float64)
         self._scount = np.zeros(64, dtype=np.int64)
         self._columns = ("_rho", "_decay", "_scount")
         self._s0 = 1
@@ -942,6 +927,9 @@ class AddisController(_BaseController):
                     self._start += 1
                     self._k -= 1
 
+    def _decay_weights(self) -> list[float]:
+        return self._decay[self._live()].tolist()
+
     def _extra_state(self) -> dict:
         return {"candidate_counters": self._scount[self._live()].tolist(),
                 "s0": self._s0, "s1": self._s1}
@@ -957,6 +945,8 @@ class AddisController(_BaseController):
                "candidate counters outside 1..s1")
         self._scount = np.zeros(self._rho.size, dtype=np.int64)
         self._scount[:counters.size] = counters
+        self._decay = np.zeros(self._rho.size, dtype=np.float64)
+        self._decay[:self._k] = snap["decay_weights"]
 
 
 class FixedThresholdController(_BaseController):

@@ -121,6 +121,9 @@ class GammaSequence:
         raw = np.asarray(list(weights), dtype=np.float64)
         if raw.ndim != 1 or raw.size == 0:
             raise ValueError("custom gamma table must be a nonempty 1-d sequence")
+        if not np.isfinite(raw).all():
+            # NaN would slip past the sign and order checks below
+            raise ValueError("gamma weights must be finite")
         return cls("custom", raw, normalize=False)
 
     @classmethod
@@ -133,10 +136,14 @@ class GammaSequence:
                 if not text or text.startswith("#"):
                     continue
                 try:
-                    values.append(float(text))
+                    value = float(text)
                 except ValueError:
                     raise ValueError(
                         f"{path}: line {lineno}: not a number: {text!r}") from None
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: line {lineno}: not a finite number: {text!r}")
+                values.append(value)
         return cls.custom(values)
 
 

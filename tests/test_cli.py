@@ -129,6 +129,10 @@ class TestDetect:
         h1 = (tmp_path / "h1.csv").read_text().splitlines()[1:]
         h2 = (tmp_path / "h2.csv").read_text().splitlines()[1:]
         assert h1 + h2 == whole
+        # the resumed log counts t on from the snapshot, and reads back
+        assert h2[0].startswith("301,")
+        log = cli.read_decisions_csv(tmp_path / "h2.csv")
+        assert log.p.size == 300
 
 
     def test_corrupt_snapshot_exits_2(self, tmp_path, capsys):
@@ -309,6 +313,12 @@ def _edit_cell(col, value):
     return edit
 
 
+def _edit_first_t(value):
+    def edit(lines):
+        lines[1] = value + lines[1][lines[1].index(","):]
+    return edit
+
+
 def _edit_line(row, change):
     def edit(lines):
         lines[row] = change(lines[row])
@@ -348,6 +358,12 @@ MALFORMED = {
         ("non-numeric", _edit_cell(1, "abc"), "cannot read p from 'abc'"),
         ("reject-not-integer", _edit_cell(3, "0.5"), "cannot read reject"),
         ("label-nan", _edit_cell(4, "nan"), "cannot read label from 'nan'"),
+        ("p-nan", _edit_cell(1, "nan"), "p-value must lie in [0, 1], got nan"),
+        ("p-below-0", _edit_cell(1, "-0.5"), "got -0.5"),
+        ("t-jump", _edit_cell(0, "77777"), "t must count up by 1"),
+        ("t-repeated", _edit_cell(0, str(BAD_ROW - 1)), "t must count up by 1"),
+        ("t-not-integer", _edit_cell(0, f"{BAD_ROW}.0"), "cannot read t"),
+        ("t-first-zero", _edit_first_t("0"), "row 1: t must count up by 1"),
         ("bom-header", _bom, "missing column 't'"),
     ],
     "score": _COMMON + [
@@ -469,6 +485,19 @@ class TestSweepAndRerun:
         for name in ("det.csv", "det.metrics.json", "det.manifest.json"):
             assert digest(other / name) == before[name], name
         assert digest(other / "stream.csv") == before["stream.csv"]
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_gamma_file_exits_2(self, tmp_path, capsys, cell):
+        stream = simulate(tmp_path, pi1=0.0, length=60)
+        weights = tmp_path / "gamma.txt"
+        weights.write_text(f"0.5\n{cell}\n0.1\n")
+        capsys.readouterr()
+        assert run("--output-dir", tmp_path, "detect", "--input", stream,
+                   "--method", "lord-decay", "--out", "cg",
+                   "--gamma-file", weights) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{weights}: line 2: not a finite number" in err
+        assert not (tmp_path / "cg.csv").exists()
 
     def test_detect_with_custom_gamma_file(self, tmp_path):
         stream = simulate(tmp_path, pi1=0.0, length=60)

@@ -485,7 +485,7 @@ class TestOracleRules:
         assert "fixed" not in ORACLE_RULES
 
 
-KERNEL_RULES = ("lord-decay-ramdas", "lord-decay", "lord-dep-decay",
+KERNEL_RULES = ("lord", "lord-decay-ramdas", "lord-decay", "lord-dep-decay",
                 "lord-decay-w0", "lord-dep-decay-w0")
 
 #: written by the release before the decay kernel: lord-dep-decay-w0, lag 3,
@@ -507,6 +507,23 @@ V1_SNAPSHOT = (
     '69, 86, 103, 120, 137, 154, 171, 188], "t": 200, "version": 1}')
 
 
+#: written by the release before ``lord`` ran on the decay kernel (its
+#: credit was a dot product over the live rejection terms): lord,
+#: prune_epsilon 1e-3, horizon 100k, after 200 steps of the stream in
+#: test_v1_lord_snapshot_resumes; the rejections at 1..103 had been pruned
+LORD_V1_SNAPSHOT = (
+    '{"decay_weights": [1.0, 1.0, 1.0, 1.0, 1.0], "decayed_rejections": '
+    '12.0, "decayed_spend": 0.4960327353873952, "first_decay_weight": '
+    '1.0, "first_rejection_time": 1, "format": '
+    '"streamfdr-controller-state", "harmonic_q": 0.0, "params": '
+    '{"alpha": 0.1, "delta": 1.0, "dependence_correction": false, '
+    '"eta": 1.0, "gamma_kind": "lord-default", "gamma_param": null, '
+    '"horizon": 100000, "lag": 0, "lag_decay_exponent": false, "lam": '
+    'null, "prune_epsilon": 0.001, "rule": "lord", "tau": null, "w0": '
+    '0.05}, "rejection_count": 12, "rejection_times": [120, 137, 154, '
+    '171, 188], "t": 200, "version": 1}')
+
+
 def step_loop(ctrl, p):
     decisions = [ctrl.step(x) for x in p]
     return (np.array([d.threshold for d in decisions]),
@@ -515,11 +532,11 @@ def step_loop(ctrl, p):
 
 
 class TestDecayKernel:
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=120, deadline=None, derandomize=True)
     @given(rule=st.sampled_from(KERNEL_RULES), lag=st.sampled_from((0, 3)),
            correction=st.booleans(), lag_exponent=st.booleans(),
            eps=st.sampled_from((0.0, 1e-12, 1e-3)),
-           delta=st.sampled_from((0.5, 0.9, 0.99)),
+           delta=st.sampled_from((0.5, 0.9, 0.99, 1.0)),
            n=st.integers(1, 2600), seed=st.integers(0, 2 ** 32 - 1),
            ties=st.integers(0, 4), split=st.floats(0.0, 1.0))
     def test_run_array_equals_step_loop(self, rule, lag, correction,
@@ -532,9 +549,11 @@ class TestDecayKernel:
                            prune_epsilon=eps)
         rng = np.random.default_rng(seed)
         p = rng.random(n) ** 4
-        # p == alpha_t exactly at a few steps, each set after the earlier ones
+        # p == alpha_t exactly at a few steps, each set after the earlier
+        # ones (p = 0 where alpha_t < 0: a pruned first rejection leaves the
+        # classic pre-rejection term below 0)
         for i in np.sort(rng.choice(n, size=min(ties, n), replace=False)):
-            p[i] = step_loop(make_controller(cfg), p)[0][i]
+            p[i] = max(step_loop(make_controller(cfg), p)[0][i], 0.0)
 
         stepped = make_controller(cfg)
         alpha, rejected, oracle = step_loop(stepped, p)
@@ -558,25 +577,73 @@ class TestDecayKernel:
             np.concatenate([first.oracle, second.oracle]), oracle)
         assert resumed.snapshot() == stepped.snapshot()
 
-    def test_v1_snapshot_resumes(self):
-        cfg = small_config("lord-dep-decay-w0", lag=3)
-        rng = np.random.default_rng(61)
+    @staticmethod
+    def _resumes_like_uninterrupted(cfg, text, seed):
+        """A snapshot written by an earlier release, after 200 steps of a
+        seeded stream, continues as the uninterrupted run does, and the
+        state the kernel keeps reproduces the stored one."""
+        rng = np.random.default_rng(seed)
         p = rng.random(400)
         p[::17] = 1e-6
         whole = metrics.run_log(make_controller(cfg), p)
-        resumed = restore_controller(cfg, V1_SNAPSHOT)
+        resumed = restore_controller(cfg, text)
         tail = metrics.run_log(resumed, p[200:])
         np.testing.assert_array_equal(tail.alpha, whole.alpha[200:])
         np.testing.assert_array_equal(tail.rejected, whole.rejected[200:])
         np.testing.assert_allclose(tail.oracle, whole.oracle[200:], rtol=1e-13)
-        # the state the kernel keeps reproduces the stored one
         ctrl = make_controller(cfg)
         metrics.run_log(ctrl, p[:200])
-        ours, stored = json.loads(ctrl.snapshot()), json.loads(V1_SNAPSHOT)
+        ours, stored = json.loads(ctrl.snapshot()), json.loads(text)
         for key in ("params", "t", "rejection_count", "rejection_times",
                     "decay_weights", "first_rejection_time",
                     "first_decay_weight", "harmonic_q"):
             assert ours[key] == stored[key], key
+
+    def test_v1_snapshot_resumes(self):
+        self._resumes_like_uninterrupted(
+            small_config("lord-dep-decay-w0", lag=3), V1_SNAPSHOT, 61)
+
+    def test_v1_lord_snapshot_resumes(self):
+        cfg = small_config("lord", prune_epsilon=1e-3)
+        assert json.loads(LORD_V1_SNAPSHOT)["rejection_times"][0] == 120
+        self._resumes_like_uninterrupted(cfg, LORD_V1_SNAPSHOT, 71)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    @pytest.mark.parametrize("short", [False, True], ids=["default", "short"])
+    def test_lord_matches_a_direct_sum(self, eps, short):
+        # an independent computation of the undecayed thresholds,
+        # w0*(g_t - g_{t-r1}) + alpha * fsum(g_{t-rj}), over the rejection
+        # terms the prune rule keeps: a term is used last at the first step
+        # whose gamma index u >= 1 has g_u < prune_epsilon.  The short
+        # custom table ends at 150, where its weights are still above 1e-4.
+        gamma = GammaSequence.custom(0.02 * 0.97 ** np.arange(150)) \
+            if short else None
+        cfg = small_config("lord", prune_epsilon=eps, gamma=gamma)
+        g, w0, alpha = cfg.gamma.weight, cfg.w0, cfg.alpha
+        rng = np.random.default_rng(89)
+        n = 3000
+        p = np.ones(n)
+        # rejections up to 60 steps apart, so that at 1e-3 the older terms
+        # are pruned (the first at age 92) while later ones are held, a
+        # dense burst, and a quiet tail
+        times = np.cumsum(rng.integers(1, 61, size=120))
+        times = np.r_[times[times < 2500], np.arange(2500, 2530)]
+        p[times - 1] = 0.0
+        expected, rejected, held, r1 = [], [], [], None
+        for t in range(1, n + 1):
+            held = [r for r in held
+                    if not (t - 1 - r >= 1 and g(t - 1 - r) < eps)]
+            pre = w0 * g(t) if r1 is None else w0 * (g(t) - g(t - r1))
+            alpha_t = min(pre + alpha * math.fsum(g(t - r) for r in held), 1.0)
+            expected.append(alpha_t)
+            rejected.append(p[t - 1] <= alpha_t)
+            if rejected[-1]:
+                held.append(t)
+                r1 = t if r1 is None else r1
+        log = metrics.run_log(make_controller(cfg), p)
+        np.testing.assert_array_equal(log.rejected, rejected)
+        assert sum(rejected) > 100
+        np.testing.assert_allclose(log.alpha, expected, rtol=1e-13, atol=0)
 
     def test_unpruned_decay_weights_outlast_the_kernel(self):
         # with nothing pruned, a rejection stays in the snapshot after its

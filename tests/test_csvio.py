@@ -118,7 +118,7 @@ def test_stream_reader_fast_equals_row_loop(tmp_path_factory, data, label):
 def test_decision_reader_fast_equals_row_loop(tmp_path_factory, data, label):
     names = ["t", "p", "alpha", "reject"] + (["label"] if label else [])
     header = data.draw(st.permutations(names))
-    pools = {"t": (_t_good, ["x"]), "p": (P_GOOD, P_BAD),
+    pools = {"t": (_t_good, _t_bad), "p": (P_GOOD, P_BAD),
              "alpha": (P_GOOD, P_BAD), "reject": (REJECT_GOOD, REJECT_BAD),
              "label": (LABEL_GOOD, LABEL_BAD)}
     text = data.draw(csv_texts(header, [pools[h] for h in header],
@@ -222,6 +222,27 @@ class TestChunkBoundaries:
         with pytest.raises(ValueError, match=r"row 9000: p-value must lie "
                                              r"in \[0, 1\], got 1.25"):
             cli.read_stream_csv(path)
+
+    @pytest.mark.parametrize("start, shift, error", [
+        (1, 0, None),
+        (7, 0, None),                     # a resumed log starts above 1
+        (1, 10, f"row {csvio.CHUNK_ROWS + 1}: t must count up by 1"),
+        (0, 0, "row 1: t must count up by 1"),
+    ])
+    def test_decision_t_counts_on_across_chunks(self, tmp_path, start, shift,
+                                                error):
+        # from the first row of the second chunk on, t is shifted by `shift`
+        n = csvio.CHUNK_ROWS + 50
+        t = np.arange(start, start + n)
+        t[csvio.CHUNK_ROWS:] += shift
+        path = tmp_path / "d.csv"
+        path.write_text("t,p,alpha,reject\n" + "".join(
+            f"{k},0.5,0.01,0\n" for k in t.tolist()))
+        if error is None:
+            assert cli.read_decisions_csv(path).p.size == n
+        else:
+            with pytest.raises(ValueError, match=error):
+                cli.read_decisions_csv(path)
 
     def test_bad_row_before_an_undecodable_byte_is_named(self, tmp_path):
         # the byte lies past the first decoded block, inside the first chunk

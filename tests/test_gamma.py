@@ -93,6 +93,17 @@ class TestCustomSequences:
         with pytest.raises(ValueError, match="sum"):
             GammaSequence.custom([0.8, 0.8])
 
+    @pytest.mark.parametrize("table", [[0.5, math.nan, 0.1], [math.inf]],
+                             ids=["nan", "inf-one-line"])
+    def test_non_finite_weight_rejected(self, table, tmp_path):
+        with pytest.raises(ValueError, match="finite"):
+            GammaSequence.custom(table)
+        path = tmp_path / "weights.txt"
+        path.write_text("".join(f"{w!r}\n" for w in table))
+        line = 1 + [math.isfinite(w) for w in table].index(False)
+        with pytest.raises(ValueError, match=f"line {line}: not a finite"):
+            GammaSequence.from_file(path)
+
     @settings(max_examples=50, derandomize=True)
     @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1,
                     max_size=40))
