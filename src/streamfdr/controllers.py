@@ -64,10 +64,9 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .gamma import (DEFAULT_HORIZON, GammaSequence, decayed_gamma, lord_gamma,
-                    power_gamma)
+from .gamma import (DEFAULT_HORIZON, GammaSequence, decayed_gamma,
+                    discounted_sums, lord_gamma, power_gamma)
 
 
 @dataclass(frozen=True)
@@ -688,12 +687,18 @@ class LordController(_BaseController):
         self._due = _BLOCK
 
     def _classic_pre(self, t: int) -> float:
-        """The classic spending beside the rejection credit at time t."""
+        """The classic spending beside the rejection credit at time t.
+
+        Its -w0 * g_{t-rho1} ends with the kernel's credit for the first
+        rejection, so pruning drops that rejection's whole (alpha - w0)
+        weighted credit at once and the threshold never goes below 0.
+        """
         gt = self._gamma.weight(t)
         if self._rho1 is None:
             return self._pre_coef * gt
         d1 = self._decay1
-        g1 = self._gamma.weight(t - self._rho1)
+        age = t - self._rho1
+        g1 = self._gamma.weight(age) if age < self._kernel.size else 0.0
         return self._pre_coef * (d1 * gt - d1 * g1)
 
     def _pre_many(self, times: np.ndarray, d1) -> np.ndarray:
@@ -704,7 +709,9 @@ class LordController(_BaseController):
         gt = self._gamma.weights(times)
         if self._rho1 is None:
             return self._pre_coef * gt
-        g1 = self._gamma.weights(times - self._rho1)
+        ages = times - self._rho1
+        # gamma_0 = 0: past the kernel's end, as in _classic_pre
+        g1 = self._gamma.weights(np.where(ages < self._kernel.size, ages, 0))
         return self._pre_coef * (d1 * gt - d1 * g1)
 
     def _raw(self, t: int) -> float:
@@ -828,10 +835,8 @@ class LordController(_BaseController):
         delta = cfg.delta
         if not spend.size:
             return np.empty(0, dtype=np.float64)
-        dspend, _ = lfilter([1.0], [1.0, -delta], spend,
-                            zi=[delta * self._dspend])
-        rdelta, _ = lfilter([1.0], [1.0, -delta], rejected.astype(np.float64),
-                            zi=[delta * self._rdelta])
+        dspend = discounted_sums(spend, delta, self._dspend)
+        rdelta = discounted_sums(rejected, delta, self._rdelta)
         self._dspend = float(dspend[-1])
         self._rdelta = float(rdelta[-1])
         if self._smooth:

@@ -21,6 +21,11 @@ numerically at construction and repaired by a global rescale if ever violated
 (for the max() construction the scan provably never triggers, but custom
 bases get the same safety net).
 
+``discounted_sums`` runs that recurrence, y_t = delta * y_{t-1} + x_t, over
+a whole array; the controllers and the verifier use it too.  It rounds every
+step as the scalar loop does, so its results are bit-identical to that loop
+(and to ``scipy.signal.lfilter([1], [1, -delta], x)``).
+
 Instances are immutable after construction and safe to share across workers.
 """
 
@@ -30,12 +35,46 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dgtsv
 
 DEFAULT_HORIZON = 1_000_000
 
 # Slack for floating-point accumulation when checking sum constraints.
 _SUM_TOL = 1e-12
+
+
+def discounted_sums(values, delta: float, start: float = 0.0) -> np.ndarray:
+    """y_t = delta * y_{t-1} + x_t for every t, from y_0 = delta * start + x_0.
+
+    Each step rounds as the scalar loop ``y = delta * y + x`` does, so the
+    result equals that loop, and ``lfilter([1], [1, -delta], x,
+    zi=[delta * start])``, bit for bit.  It is the solution of the unit lower
+    bidiagonal system y_t - delta * y_{t-1} = x_t, solved by LAPACK's dgtsv:
+    delta <= 1 keeps it from pivoting, its elimination computes
+    x_t - (-delta) * y_{t-1}, which rounds as delta * y_{t-1} + x_t does, and
+    its back pass divides by 1 and subtracts 0 * y_{t+1}, exact for finite
+    values.  With an inf or NaN that 0 * y_{t+1} would be NaN and reach
+    earlier rows, so a non-finite result is recomputed by a scalar loop in
+    lfilter's own form, where a non-finite value at row k reaches no row
+    before k.
+    """
+    y = np.array(values, dtype=np.float64)
+    n = y.size
+    if n == 0:
+        return y
+    y[0] += delta * start
+    if n == 1:  # dgtsv's wrapper refuses empty off-diagonals
+        return y
+    y = dgtsv(np.full(n - 1, -delta), np.ones(n), np.zeros(n - 1), y,
+              1, 1, 1, 1)[3]
+    if np.isfinite(y).all():
+        # a non-finite input leaves a non-finite value at its own row
+        return y
+    z, out = delta * start, []
+    for x in np.asarray(values, dtype=np.float64).tolist():
+        out.append(z + x)
+        z = 0.0 * x - out[-1] * (-delta)
+    return np.array(out)
 
 
 def _lord_default_raw(t: np.ndarray) -> np.ndarray:
@@ -166,12 +205,12 @@ class DecayedGammaSequence:
         self.base = base
         self.delta = float(delta)
         table = np.maximum(base.table, 1.0 - self.delta)
-        running = lfilter([1.0], [1.0, -self.delta], table)
+        running = discounted_sums(table, self.delta)
         peak = float(running.max())
         if peak > 1.0 + _SUM_TOL:
             self.rescale = 1.0 / peak
             table = table * self.rescale
-            running = lfilter([1.0], [1.0, -self.delta], table)
+            running = discounted_sums(table, self.delta)
             peak = float(running.max())
             if peak > 1.0 + 1e-9:
                 raise ValueError(

@@ -25,8 +25,9 @@ each block anchored by a direct dot product over all raw values before it,
 and the rows inside a block summed directly, about n**1.5 multiply-adds per
 series.  Its prefixes agree with exactly rounded sums within a relative
 1e-12 (tested against ``math.fsum``).  "recurrence" mode replays the exact
-linear recurrence X <- delta * X + x_t instead (through
-``scipy.signal.lfilter``), in linear time.  The two differ by round-off
+linear recurrence X <- delta * X + x_t instead, in linear time, through
+``gamma.discounted_sums``, which gives the bits of the scalar loop (an inf or
+NaN at row k reaches no prefix before k).  The two differ by round-off
 only, so they give the same verdict unless a surplus or oracle lies within
 about 1e-15 of its bound; ``verify`` uses scratch by default.
 """
@@ -38,10 +39,10 @@ from math import isqrt
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import controllers
 from .controllers import ControllerConfig
+from .gamma import discounted_sums
 
 
 @dataclass
@@ -115,7 +116,7 @@ def _discounted_prefixes(values: np.ndarray, delta: float,
     n = values.size
     if method == "recurrence":
         # acc = delta * acc + v, run in order: the same bits as the loop
-        return lfilter([1.0], [1.0, -delta], values)
+        return discounted_sums(values, delta)
     if delta == 1.0:
         # prefix sums of raw values; no discounting to redo per step
         return np.cumsum(values)

@@ -18,6 +18,8 @@ per-seed comparisons between methods paired.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -283,12 +285,34 @@ def _group(rows: list, *keys) -> dict:
     return groups
 
 
+#: thread-count variables set to 1 in the environment of pool workers
+_ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def _map_cells(task, tasks: list, workers: int) -> list:
-    """``task`` over ``tasks``, in order; in a process pool when workers > 1."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    """``task`` over ``tasks``, in order; in a process pool when workers > 1.
+
+    The cells are the unit of parallel work, so each worker runs BLAS on one
+    thread: the workers are spawned, not forked, so that numpy loads afresh
+    in each of them under the thread variables set here (a script that
+    sweeps with workers > 1 thus needs an ``if __name__ == "__main__":``
+    guard).  The parent's environment is restored afterwards.
+    """
+    if workers <= 1:
+        return [task(t) for t in tasks]
+    saved = {name: os.environ.get(name) for name in _ONE_THREAD}
+    os.environ.update(dict.fromkeys(_ONE_THREAD, "1"))
+    try:
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
             return list(pool.map(task, tasks, chunksize=1))
-    return [task(t) for t in tasks]
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def aggregate_rows(raw: list, eta: float) -> list:

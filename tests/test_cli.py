@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import streamfdr
 from streamfdr import cli
 
 
@@ -538,3 +541,49 @@ class TestSweepAndRerun:
         assert run("simulate", "--pi1", "0.0", "--length", "50",
                    "--out", "envstream") == 0
         assert (tmp_path / "envout" / "envstream.csv").exists()
+
+
+#: a fresh interpreter runs each command once, then lists the scipy.signal
+#: modules it has loaded
+_COLD_START = """
+import json
+import sys
+
+import streamfdr
+from streamfdr import cli
+
+out = sys.argv[1]
+
+
+def run(*argv):
+    assert cli.main(["--output-dir", out, *argv]) == 0, argv
+
+
+run("simulate", "--pi1", "0.05", "--length", "2000", "--out", "stream")
+with open(out + "/series.csv", "w") as fh:
+    fh.write("x,label\\n")
+    fh.writelines(f"{(i * 7919) % 101 / 10!r},{int(i == 150)}\\n"
+                  for i in range(300))
+run("score", "--input", out + "/series.csv", "--label-column", "label",
+    "--window", "50", "--out", "scored")
+run("detect", "--input", out + "/stream.csv", "--method", "lord-decay",
+    "--out", "det")
+for method in ("scratch", "recurrence"):
+    run("verify", "--input", out + "/det.csv", "--manifest",
+        out + "/det.manifest.json", "--method", method)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy.signal" or m.startswith("scipy.signal."))))
+"""
+
+
+class TestColdStart:
+    def test_no_command_imports_scipy_signal(self, tmp_path):
+        # scipy.signal alone took most of a cold start's import time
+        src = os.path.dirname(os.path.dirname(streamfdr.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []
+        assert (tmp_path / "scored.csv").exists()

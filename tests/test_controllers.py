@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamfdr import metrics
-from streamfdr.controllers import (ControllerConfig, MONOTONE_LORD_RULES, ORACLE_RULES,
+from streamfdr.controllers import (RULE_SPECS, ControllerConfig,
+                                   MONOTONE_LORD_RULES, ORACLE_RULES,
                                    RULES, make_controller, rescale_factor,
                                    restore_controller, threshold_floor)
-from streamfdr.gamma import GammaSequence, lord_gamma, power_gamma
+from streamfdr.gamma import (GammaSequence, discounted_sums, lord_gamma,
+                             power_gamma)
 from streamfdr.simulation import GeneratorConfig, generate_stream, method_config
 
 H = 100_000
@@ -549,11 +551,9 @@ class TestDecayKernel:
                            prune_epsilon=eps)
         rng = np.random.default_rng(seed)
         p = rng.random(n) ** 4
-        # p == alpha_t exactly at a few steps, each set after the earlier
-        # ones (p = 0 where alpha_t < 0: a pruned first rejection leaves the
-        # classic pre-rejection term below 0)
+        # p == alpha_t exactly at a few steps, each set after the earlier ones
         for i in np.sort(rng.choice(n, size=min(ties, n), replace=False)):
-            p[i] = max(step_loop(make_controller(cfg), p)[0][i], 0.0)
+            p[i] = step_loop(make_controller(cfg), p)[0][i]
 
         stepped = make_controller(cfg)
         alpha, rejected, oracle = step_loop(stepped, p)
@@ -580,8 +580,10 @@ class TestDecayKernel:
     @staticmethod
     def _resumes_like_uninterrupted(cfg, text, seed):
         """A snapshot written by an earlier release, after 200 steps of a
-        seeded stream, continues as the uninterrupted run does, and the
-        state the kernel keeps reproduces the stored one."""
+        seeded stream, continues with the thresholds and decisions of the
+        uninterrupted run and its oracle carried on from the stored sums,
+        and the state the kernel keeps reproduces the stored one.  Returns
+        the uninterrupted log's tail and the resumed log."""
         rng = np.random.default_rng(seed)
         p = rng.random(400)
         p[::17] = 1e-6
@@ -590,23 +592,38 @@ class TestDecayKernel:
         tail = metrics.run_log(resumed, p[200:])
         np.testing.assert_array_equal(tail.alpha, whole.alpha[200:])
         np.testing.assert_array_equal(tail.rejected, whole.rejected[200:])
-        np.testing.assert_allclose(tail.oracle, whole.oracle[200:], rtol=1e-13)
+        stored = json.loads(text)
+        spend = discounted_sums(tail.alpha, cfg.delta, stored["decayed_spend"])
+        rdelta = discounted_sums(tail.rejected, cfg.delta,
+                                 stored["decayed_rejections"])
+        if cfg.spec.denominator == "smooth":
+            np.testing.assert_array_equal(tail.oracle, spend / (rdelta + cfg.eta))
+        else:
+            np.testing.assert_array_equal(tail.oracle,
+                                          spend / np.maximum(rdelta, 1.0))
         ctrl = make_controller(cfg)
         metrics.run_log(ctrl, p[:200])
-        ours, stored = json.loads(ctrl.snapshot()), json.loads(text)
+        ours = json.loads(ctrl.snapshot())
         for key in ("params", "t", "rejection_count", "rejection_times",
                     "decay_weights", "first_rejection_time",
                     "first_decay_weight", "harmonic_q"):
             assert ours[key] == stored[key], key
+        return whole.oracle[200:], tail.oracle
 
     def test_v1_snapshot_resumes(self):
-        self._resumes_like_uninterrupted(
+        whole, tail = self._resumes_like_uninterrupted(
             small_config("lord-dep-decay-w0", lag=3), V1_SNAPSHOT, 61)
+        np.testing.assert_allclose(tail, whole, rtol=1e-13)
 
     def test_v1_lord_snapshot_resumes(self):
         cfg = small_config("lord", prune_epsilon=1e-3)
         assert json.loads(LORD_V1_SNAPSHOT)["rejection_times"][0] == 120
-        self._resumes_like_uninterrupted(cfg, LORD_V1_SNAPSHOT, 71)
+        whole, tail = self._resumes_like_uninterrupted(cfg, LORD_V1_SNAPSHOT,
+                                                       71)
+        # the release that wrote it kept -w0 * g_{t-1} of the first
+        # rejection (at 1, pruned at age 92) in its thresholds from step 94
+        # on, so it spent less than this release does over the same steps
+        assert np.all(tail < whole)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     @pytest.mark.parametrize("short", [False, True], ids=["default", "short"])
@@ -633,7 +650,8 @@ class TestDecayKernel:
         for t in range(1, n + 1):
             held = [r for r in held
                     if not (t - 1 - r >= 1 and g(t - 1 - r) < eps)]
-            pre = w0 * g(t) if r1 is None else w0 * (g(t) - g(t - r1))
+            # the first rejection's -w0 * g goes with its pruned term
+            pre = w0 * (g(t) - g(t - r1)) if r1 in held else w0 * g(t)
             alpha_t = min(pre + alpha * math.fsum(g(t - r) for r in held), 1.0)
             expected.append(alpha_t)
             rejected.append(p[t - 1] <= alpha_t)
@@ -674,6 +692,40 @@ class TestDecayKernel:
         assert ctrl.rejection_times() == [1]
         ctrl.step(1.0)
         assert ctrl.rejection_times() == []
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-3])
+    @pytest.mark.parametrize("rule", KERNEL_RULES)
+    def test_thresholds_never_negative(self, rule, eps):
+        # the first rejection's classic -w0 * g_{t-rho1} is pruned with its
+        # kernel credit, so no threshold goes below 0 once it is gone
+        rng = np.random.default_rng(97)
+        quiet = np.ones(4000)
+        quiet[[9, 19]] = 0.0
+        streams = [quiet, rng.random(4000) ** 3]
+        undecayed = RULE_SPECS[rule].undecayed
+        for delta in (None,) if undecayed else (0.5, 0.99, 1.0):
+            cfg = small_config(rule, delta=delta, prune_epsilon=eps,
+                               lag=3 if rule.startswith("lord-dep") else 0)
+            for p in streams:
+                log = run_on(cfg, p)
+                assert log.alpha.min() >= 0.0, (rule, delta)
+                np.testing.assert_array_equal(
+                    step_loop(make_controller(cfg), p)[0], log.alpha)
+
+    @pytest.mark.parametrize("rule,delta,eps", [
+        ("lord", None, 1e-3), ("lord-decay-ramdas", 0.5, 1e-12),
+        ("lord-decay-ramdas", 0.99, 1e-3)])
+    def test_zero_p_values_rejected_after_the_first_term_is_pruned(
+            self, rule, delta, eps):
+        # rejections at t = 10 and 20, then nothing until p = 0 from t = 501
+        cfg = small_config(rule, delta=delta, prune_epsilon=eps)
+        p = np.ones(1000)
+        p[[9, 19]] = 0.0
+        p[500:] = 0.0
+        log = run_on(cfg, p)
+        assert np.flatnonzero(log.rejected[:500]).tolist() == [9, 19]
+        assert log.rejected[500:].all()
+        assert metrics.verify_oracle_and_surplus(log, cfg).passed
 
     def test_bad_p_leaves_state_untouched(self):
         ctrl = make_controller(small_config("lord-decay"))

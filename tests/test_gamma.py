@@ -1,12 +1,16 @@
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import lfilter
 
+from streamfdr import cli, metrics
 from streamfdr.gamma import (DEFAULT_HORIZON, DecayedGammaSequence,
-                             GammaSequence, decayed_gamma, harmonic_number,
-                             lord_gamma, power_gamma)
+                             GammaSequence, decayed_gamma, discounted_sums,
+                             harmonic_number, lord_gamma, power_gamma)
 
 H_SMALL = 100_000
 
@@ -192,3 +196,142 @@ class TestHarmonic:
     def test_ten_terms_direct_summation(self):
         assert harmonic_number(10) == pytest.approx(
             math.fsum(1.0 / k for k in range(1, 11)), rel=1e-15)
+
+
+def _lfilter_sums(values, delta, start=0.0):
+    """The reference: scipy's first-order filter from state delta * start."""
+    values = np.asarray(values, dtype=np.float64)
+    return lfilter([1.0], [1.0, -delta], values, zi=[delta * start])[0]
+
+
+def _loop_sums(values, delta, start=0.0):
+    y, out = start, []
+    for x in np.asarray(values, dtype=np.float64).tolist():
+        y = delta * y + x
+        out.append(y)
+    return np.array(out, dtype=np.float64)
+
+
+def _finite_values(rng, n, zeros, negatives):
+    """Values spread over many magnitudes, some zero, some negative."""
+    x = rng.random(n) * 10.0 ** rng.uniform(-8, 4, n)
+    x[rng.random(n) < zeros] = 0.0
+    if negatives:
+        x[rng.random(n) < 0.5] *= -1.0
+    return x
+
+
+_DELTAS = st.one_of(st.just(1.0), st.sampled_from((0.5, 0.9, 0.99, 0.999)),
+                    st.floats(0.0, 1.0, exclude_min=True))
+
+
+class TestDiscountedSums:
+    """``discounted_sums`` gives the bits of the scalar loop and of lfilter."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 2000), delta=_DELTAS,
+           start=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+           zeros=st.sampled_from((0.0, 0.3, 1.0)), negatives=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_loop_and_lfilter(self, n, delta, start, zeros, negatives,
+                                     seed):
+        x = _finite_values(np.random.default_rng(seed), n, zeros, negatives)
+        got = discounted_sums(x, delta, start)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        np.testing.assert_array_equal(got, _loop_sums(x, delta, start))
+        if n:
+            np.testing.assert_array_equal(got, _lfilter_sums(x, delta, start))
+
+    def test_million_row_table(self):
+        x = _finite_values(np.random.default_rng(5), 10 ** 6, 0.1, True)
+        got = discounted_sums(x, 0.99, 0.25)
+        np.testing.assert_array_equal(got, _lfilter_sums(x, 0.99, 0.25))
+        np.testing.assert_array_equal(got, _loop_sums(x, 0.99, 0.25))
+
+    def test_input_left_alone(self):
+        x = np.array([0.5, 0.25, 1.0])
+        discounted_sums(x, 0.5, 2.0)
+        np.testing.assert_array_equal(x, [0.5, 0.25, 1.0])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 5000), delta=_DELTAS,
+           start=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+           bad=st.sampled_from((math.nan, math.inf, -math.inf, 1e308)),
+           where=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_non_finite_rows_as_lfilter(self, n, delta, start, bad, where,
+                                        seed):
+        # 1e308 twice in a row overflows to inf for delta > 0.8
+        x = _finite_values(np.random.default_rng(seed), n, 0.2, True)
+        k = min(int(where * n), n - 1)
+        x[k:k + (2 if bad == 1e308 else 1)] = bad
+        got = discounted_sums(x, delta, start)
+        np.testing.assert_array_equal(got, _lfilter_sums(x, delta, start))
+        # nothing reaches a row before k
+        np.testing.assert_array_equal(got[:k], discounted_sums(x[:k], delta,
+                                                               start))
+
+
+def _lfilter_decayed(base, delta):
+    """DecayedGammaSequence's table, rescale and peak as built with lfilter."""
+    table = np.maximum(base.table, 1.0 - delta)
+    peak = float(_lfilter_sums(table, delta).max())
+    rescale = 1.0
+    if peak > 1.0 + 1e-12:
+        rescale = 1.0 / peak
+        table = table * rescale
+        peak = float(_lfilter_sums(table, delta).max())
+    return table, rescale, peak
+
+
+class TestDecayedBuildBitExact:
+    @pytest.mark.parametrize("delta", [0.9, 0.99, 0.999])
+    def test_default_table(self, delta):
+        base = lord_gamma(DEFAULT_HORIZON)
+        tilde = DecayedGammaSequence(base, delta)
+        table, rescale, peak = _lfilter_decayed(base, delta)
+        np.testing.assert_array_equal(tilde.table, table)
+        assert tilde.rescale == rescale == 1.0
+        assert tilde.max_decayed_sum == peak
+
+    def test_rescaled_table(self):
+        # the public constructors keep every discounted sum at or below 1,
+        # so the rescale is reached through a base whose weights sum to 5
+        base = SimpleNamespace(table=np.r_[np.full(100, 0.05), np.zeros(900)],
+                               horizon=1000)
+        tilde = DecayedGammaSequence(base, 0.99)
+        table, rescale, peak = _lfilter_decayed(base, 0.99)
+        assert 0.3 < rescale < 0.4
+        np.testing.assert_array_equal(tilde.table, table)
+        assert tilde.rescale == rescale
+        assert tilde.max_decayed_sum == peak
+
+
+class TestVerifyForgedLogs:
+    @pytest.mark.parametrize("forged", ["nan", "inf", "1e308"])
+    def test_recurrence_report_as_lfilter(self, tmp_path, monkeypatch, forged):
+        # a threshold of nan, inf or 1e308 (twice, which overflows) in a log
+        # gets the report the lfilter recurrence gives
+        def run(*argv):
+            return cli.main(["--output-dir", str(tmp_path)]
+                            + [str(a) for a in argv])
+
+        assert run("simulate", "--pi1", "0.05", "--length", "1500",
+                   "--seed", "3", "--out", "stream") == 0
+        assert run("detect", "--input", tmp_path / "stream.csv", "--method",
+                   "lord-decay", "--out", "det") == 0
+        log = tmp_path / "det.csv"
+        lines = log.read_text().splitlines()
+        for t in (700, 701):
+            cells = lines[t].split(",")
+            cells[2], cells[3] = forged, "1"
+            lines[t] = ",".join(cells)
+        log.write_text("\n".join(lines) + "\n")
+        argv = ["verify", "--input", log, "--manifest",
+                tmp_path / "det.manifest.json", "--allow-modified",
+                "--method", "recurrence", "--out"]
+        assert run(*argv, "ours.json") == cli.EXIT_VERIFICATION
+        monkeypatch.setattr(metrics, "discounted_sums", _lfilter_sums)
+        assert run(*argv, "lfilter.json") == cli.EXIT_VERIFICATION
+        ours = (tmp_path / "ours.json").read_bytes()
+        assert ours == (tmp_path / "lfilter.json").read_bytes()
+        assert json.loads(ours)["first_violation_at"] == 700

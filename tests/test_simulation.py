@@ -1,10 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 from scipy.stats import kstest
 
+from streamfdr import simulation
 from streamfdr.simulation import (BurstConfig, FrontierConfig, GeneratorConfig,
                                   SweepConfig, fixed_threshold_frontier,
                                   generate_burst_stream, generate_stream,
@@ -154,6 +156,16 @@ class TestSweep:
         parallel = run_sweep(SweepConfig(**base, workers=2))
         assert serial.raw == parallel.raw
         assert serial.aggregate == parallel.aggregate
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        # each worker starts with the thread variables at 1; the parent's
+        # own values come back afterwards, unset ones unset
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"]
+        assert simulation._map_cells(os.getenv, names, 2) == ["1", "1"]
+        assert os.environ["OMP_NUM_THREADS"] == "3"
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
