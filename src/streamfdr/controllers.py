@@ -38,14 +38,18 @@ them from there.
 Decay kernel
 ------------
 Every LORD rule credits each rejection with one fixed kernel: a rejection
-at r adds h(t - r) to every later threshold, h(u) = coef * delta**u *
-gamma_{u-L}, for u = 1..W.  With delta < 1, delta**W is the first power
-below ``prune_epsilon``; with delta = 1 (``lord``, or any LORD rule run
-undecayed) h(u) = coef * gamma_{u-L} and W is the first u > L with
-gamma_{u-L} below ``prune_epsilon``.  The controller keeps the kernel's sum
-for the next steps in a future-contribution buffer, so a step reads one
-cell, and ``run_array`` scans whole chunks up to the next rejection.  Only
-the ADDIS family takes a dot product over the live rejection terms.
+at r adds h(u) = coef * delta**u * gamma_{u-L} to the threshold u = t - r
+steps later, for u = 1..W.  With delta < 1, delta**W is the first power
+below ``prune_epsilon`` in a table of powers; with delta = 1 (``lord``, or
+any LORD rule run undecayed) W is the first u > L with gamma_{u-L} below
+it.  In the classic form the first rejection's coef is alpha - w0, which
+holds the -w0 * g_{t-r1} half of its pre-rejection term, and that term's
+factor delta**(t-r1) is read from the table of powers, 0 past its end: so
+the first rejection's whole credit ends at age W.  The controller keeps
+the kernel's sum for the next steps in a future-contribution buffer, so a
+step reads one cell, and ``run_array`` scans whole chunks up to the next
+rejection.  The ADDIS family records the candidate count S_0 at each
+rejection and takes a dot product over the live rejection terms.
 
 State is prunable (dropping a rejection term only lowers thresholds, so
 memory stays bounded on infinite streams), serializable to a versioned
@@ -253,8 +257,11 @@ class ControllerConfig:
 
     def __post_init__(self):
         spec = rule_spec(self.rule)
-        if self.prune_epsilon < 0.0:
-            raise ValueError("prune_epsilon must be nonnegative")
+        if not (math.isfinite(self.prune_epsilon) and self.prune_epsilon >= 0.0):
+            raise ValueError("prune_epsilon must be finite and nonnegative")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            # every rule's summary divides by R_delta + eta
+            raise ValueError("eta must be finite and positive")
         if spec.family == "fixed":
             # alpha doubles as the constant threshold; the closed endpoints
             # are meaningful degenerate baselines (reject nothing/everything)
@@ -275,8 +282,6 @@ class ControllerConfig:
             self.delta = 0.99
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
 
         if self.w0 is None:
             self.w0 = self.alpha / 2.0
@@ -437,6 +442,8 @@ class _BaseController:
         self._gamma = config.gamma
         self._tilde = (decayed_gamma(config.gamma, config.delta)
                        if spec.pre in ("eta", "w0") else None)
+        #: pre-rejection sequence: gtilde, or gamma in the classic form
+        self._head = self._gamma if self._tilde is None else self._tilde
         self._floor = threshold_floor(config, self._tilde)
         self._smooth = spec.denominator == "smooth"
         self._indicator = spec.numerator == "indicator"
@@ -659,68 +666,45 @@ class LordController(_BaseController):
     def __init__(self, config: ControllerConfig):
         super().__init__(config)
         self._rho1: Optional[int] = None
-        self._decay1 = 0.0
+        classic = config.spec.pre == "classic"
+        self._first_decays = classic and config.delta != 1.0
         cap = config.horizon + config.lag
         if config.delta == 1.0:
-            # undecayed: every power is 1, so the kernel is gamma itself,
-            # shifted by the lag
+            # undecayed: every power is 1, so the kernel is gamma itself
             self._powers = _ONE
             self._prune_age = _undecayed_age(self._gamma, config.prune_epsilon,
                                              config.lag)
             size = 1 + (cap if self._prune_age is None else self._prune_age)
-            gamma = self._gamma.table[:size - config.lag - 1]
-            kernel = np.zeros(size, dtype=np.float64)
-            kernel[config.lag + 1:config.lag + 1 + gamma.size] = gamma
         else:
             self._powers, self._prune_age = _decay_table(
                 config.delta, config.prune_epsilon, cap)
-            kernel = self._powers * self._gamma.weights(
-                np.arange(self._powers.size) - config.lag)
+            size = self._powers.size
+        kernel = self._gamma.weights(np.arange(size) - config.lag)
+        if config.delta != 1.0:
+            kernel *= self._powers
         if config.lag_decay_exponent and config.lag:
             # main-text dependency form: the decay exponent is lagged as well
             kernel *= config.delta ** (-config.lag)
-        kernel *= self._rej_coef
-        kernel.flags.writeable = False
-        self._kernel = kernel   # credit of one rejection u = 0..n steps later
+        # credit of one rejection u = 0..n steps later; alpha - w0 for the
+        # first one in the classic form, whose -w0 * g_{t-rho1} it holds
+        self._kernel = kernel * self._rej_coef
+        self._first_kernel = (np.multiply(kernel, config.alpha - config.w0,
+                                          out=kernel) if classic
+                              else self._kernel)
+        self._kernel.flags.writeable = self._first_kernel.flags.writeable = False
         self._buf = np.zeros(_BLOCK, dtype=np.float64)
         self._base = 0
         self._due = _BLOCK
 
-    def _classic_pre(self, t: int) -> float:
-        """The classic spending beside the rejection credit at time t.
-
-        Its -w0 * g_{t-rho1} ends with the kernel's credit for the first
-        rejection, so pruning drops that rejection's whole (alpha - w0)
-        weighted credit at once and the threshold never goes below 0.
-        """
-        gt = self._gamma.weight(t)
-        if self._rho1 is None:
-            return self._pre_coef * gt
-        d1 = self._decay1
-        age = t - self._rho1
-        g1 = self._gamma.weight(age) if age < self._kernel.size else 0.0
-        return self._pre_coef * (d1 * gt - d1 * g1)
-
-    def _pre_many(self, times: np.ndarray, d1) -> np.ndarray:
-        """The spending beside the rejection credit at consecutive times, d1
-        holding the first rejection's decay weight at each of them."""
-        if self._tilde is not None:
-            return self._pre_coef * self._tilde.weights(times)
-        gt = self._gamma.weights(times)
-        if self._rho1 is None:
-            return self._pre_coef * gt
-        ages = times - self._rho1
-        # gamma_0 = 0: past the kernel's end, as in _classic_pre
-        g1 = self._gamma.weights(np.where(ages < self._kernel.size, ages, 0))
-        return self._pre_coef * (d1 * gt - d1 * g1)
-
     def _raw(self, t: int) -> float:
-        if self._rho1 is not None:
-            self._decay1 *= self.config.delta
-        credit = float(self._buf[t - self._base - 1])
-        if self._tilde is None:
-            return self._classic_pre(t) + credit
-        return self._pre_coef * self._tilde.weight(t) + credit
+        # pre_coef * d1 * head_t: d1 = delta**(t - rho1) from the decay
+        # table in the classic form, 0 past its end, where rho1 is pruned
+        d1 = 1.0
+        if self._first_decays and self._rho1 is not None:
+            age = t - self._rho1
+            d1 = float(self._powers[age]) if age < self._powers.size else 0.0
+        return (self._pre_coef * d1 * self._head.weight(t)
+                + float(self._buf[t - self._base - 1]))
 
     def _advance(self, t: int, p: float, rejected: bool):
         if rejected:
@@ -730,10 +714,9 @@ class LordController(_BaseController):
 
     def _record_rejection(self, t: int):
         self._append_rejection(t)
-        self._add_kernel(t)
         if self._rho1 is None:
             self._rho1 = t
-            self._decay1 = 1.0
+        self._add_kernel(t)
 
     # -- decay kernel --------------------------------------------------------
 
@@ -741,9 +724,10 @@ class LordController(_BaseController):
         """Add the credit of a rejection at r to the buffer cells after r."""
         base = self._base
         lo = max(base, r)
-        hi = min(base + _BLOCK, r + self._kernel.size - 1)
+        kernel = self._first_kernel if r == self._rho1 else self._kernel
+        hi = min(base + _BLOCK, r + kernel.size - 1)
         if lo < hi:
-            self._buf[lo - base:hi - base] += self._kernel[lo + 1 - r:hi + 1 - r]
+            self._buf[lo - base:hi - base] += kernel[lo + 1 - r:hi + 1 - r]
 
     def _prune(self, now: int):
         """Drop the rejections whose kernel ended by ``now``."""
@@ -772,7 +756,6 @@ class LordController(_BaseController):
 
     def _run_array(self, p: np.ndarray):
         cfg = self.config
-        delta = cfg.delta
         n = p.size
         alpha = np.empty(n, dtype=np.float64)
         rejected = np.zeros(n, dtype=bool)
@@ -797,12 +780,13 @@ class LordController(_BaseController):
             cell = t0 - self._base
             m = min(n - i, _BLOCK - cell)
             times = np.arange(t0 + 1, t0 + m + 1)
-            d1 = None
-            if self._rho1 is not None:
-                d1 = np.full(m, delta)
-                d1[0] = self._decay1 * delta
-                d1 = np.cumprod(d1)
-            thr = self._pre_many(times, d1) + self._buf[cell:cell + m]
+            d1 = 1.0
+            if self._first_decays and self._rho1 is not None:
+                ages, n_powers = times - self._rho1, self._powers.size
+                d1 = np.where(ages < n_powers, self._powers[
+                    np.minimum(ages, n_powers - 1)], 0.0)
+            thr = (self._pre_coef * d1 * self._head.weights(times)
+                   + self._buf[cell:cell + m])
             if cfg.dependence_correction:
                 q = 1.0 / times
                 q[0] += self._q
@@ -815,8 +799,6 @@ class LordController(_BaseController):
             alpha[i:i + m] = thr[:m]
             if cfg.dependence_correction:
                 self._q = float(q[m - 1])
-            if d1 is not None:
-                self._decay1 = float(d1[m - 1])
             self._t = t = t0 + m
             i += m
             if hits.size:
@@ -851,26 +833,28 @@ class LordController(_BaseController):
         return _powers_at(self._powers, self.config.delta, ages).tolist()
 
     def _extra_state(self) -> dict:
-        return {"first_rejection_time": self._rho1,
-                "first_decay_weight": self._decay1}
+        rho1 = self._rho1
+        weight = 0.0 if rho1 is None else float(_powers_at(
+            self._powers, self.config.delta, np.array([self._t - rho1]))[0])
+        return {"first_rejection_time": rho1, "first_decay_weight": weight}
 
     def _load_extra(self, snap: dict):
         rho1 = snap.get("first_rejection_time")
         self._rho1 = None if rho1 is None else int(rho1)
-        self._decay1 = float(snap.get("first_decay_weight", 0.0))
+        weight = float(snap.get("first_decay_weight", 0.0))
         _check(self._rho1 is None or 1 <= self._rho1 <= self._t,
                "first rejection time outside 1..t")
-        _check(0.0 <= self._decay1 <= 1.0, "first decay weight outside [0, 1]")
+        _check(0.0 <= weight <= 1.0, "first decay weight outside [0, 1]")
         self._refill(self._t)
 
 
 class AddisController(_BaseController):
     """SAFFRON/ADDIS and their memory-decay variants.
 
-    Candidate counters S_j(t) = 1{t > rho_j} + #{rho_j < i < t : lam < p_i <= tau}
-    are maintained incrementally: every active counter goes up by one on a
-    step whose p-value lands in (lam, tau], and a fresh counter starts at 1
-    on the step after each rejection (S_0 exists from the start).
+    Candidate counts come from one counter, S_0(t) = 1 + #{i < t : lam < p_i
+    <= tau}.  Each rejection records c_j = S_0 after its step (a rejected p
+    is never a candidate), so its counter is S_j(t) = S_0(t) + 1 - c_j, and
+    the first rejection's c_1 gives S_1 (0 before it).
     """
 
     family = "addis"
@@ -878,11 +862,16 @@ class AddisController(_BaseController):
     def __init__(self, config: ControllerConfig):
         super().__init__(config)
         self._decay = np.zeros(64, dtype=np.float64)
-        self._scount = np.zeros(64, dtype=np.int64)
-        self._columns = ("_rho", "_decay", "_scount")
+        self._c = np.zeros(64, dtype=np.int64)
+        self._columns = ("_rho", "_decay", "_c")
         self._s0 = 1
-        self._s1 = 0
-        self._pre = config.spec.pre
+        self._c1: Optional[int] = None
+
+    def _s1(self) -> int:
+        return 0 if self._c1 is None else self._s0 + 1 - self._c1
+
+    def _counters(self) -> np.ndarray:
+        return self._s0 + 1 - self._c[self._live()]
 
     def _raw(self, t: int) -> float:
         cfg = self.config
@@ -891,35 +880,25 @@ class AddisController(_BaseController):
             if cfg.delta != 1.0:
                 self._decay[live] *= cfg.delta
             s = float(np.dot(self._decay[live],
-                             self._gamma.weights(self._scount[live])))
+                             self._gamma.weights(self._counters())))
         else:
             s = 0.0
-        span = self._span
-        if self._pre == "eta":
-            raw = cfg.alpha * span * (cfg.eta * self._tilde.weight(self._s0) + s)
-        else:
-            if self._tilde is None:
-                head = (self._gamma.weight(self._s0)
-                        - self._gamma.weight(self._s1))
-            else:
-                head = self._tilde.weight(self._s0)
-            raw = span * (self._pre_coef * head + self._rej_coef * s)
-        return min(raw, cfg.lam)
+        head = self._head.weight(self._s0)
+        if self._tilde is None:
+            head -= self._gamma.weight(self._s1())
+        return min(self._span * (self._pre_coef * head + self._rej_coef * s),
+                   cfg.lam)
 
     def _advance(self, t: int, p: float, rejected: bool):
         cfg = self.config
         if cfg.lam < p <= cfg.tau:
             self._s0 += 1
-            if self._s1:
-                self._s1 += 1
-            if self._k:
-                self._scount[self._live()] += 1
         if rejected:
             i = self._append_rejection(t)
             self._decay[i] = 1.0
-            self._scount[i] = 1
-            if self._s1 == 0:
-                self._s1 = 1
+            self._c[i] = self._s0
+            if self._c1 is None:
+                self._c1 = self._s0
         eps = cfg.prune_epsilon
         if eps > 0.0 and self._k:
             if cfg.delta != 1.0:
@@ -928,7 +907,7 @@ class AddisController(_BaseController):
                     self._k -= 1
             else:
                 while self._k and self._gamma.weight(
-                        int(self._scount[self._start])) < eps:
+                        self._s0 + 1 - int(self._c[self._start])) < eps:
                     self._start += 1
                     self._k -= 1
 
@@ -936,20 +915,21 @@ class AddisController(_BaseController):
         return self._decay[self._live()].tolist()
 
     def _extra_state(self) -> dict:
-        return {"candidate_counters": self._scount[self._live()].tolist(),
-                "s0": self._s0, "s1": self._s1}
+        return {"candidate_counters": self._counters().tolist(),
+                "s0": self._s0, "s1": self._s1()}
 
     def _load_extra(self, snap: dict):
         counters = np.asarray(snap["candidate_counters"], dtype=np.int64)
         _check(counters.shape == (self._k,), "mismatched state arrays")
         self._s0 = int(snap["s0"])
-        self._s1 = int(snap["s1"])
-        _check(1 <= self._s0 <= self._t + 1 and 0 <= self._s1 <= self._s0,
+        s1 = int(snap["s1"])
+        _check(1 <= self._s0 <= self._t + 1 and 0 <= s1 <= self._s0,
                "candidate counts s0, s1 out of range")
-        _check(bool(np.all((counters >= 1) & (counters <= self._s1))),
+        _check(bool(np.all((counters >= 1) & (counters <= s1))),
                "candidate counters outside 1..s1")
-        self._scount = np.zeros(self._rho.size, dtype=np.int64)
-        self._scount[:counters.size] = counters
+        self._c1 = None if s1 == 0 else self._s0 + 1 - s1
+        self._c = np.zeros(self._rho.size, dtype=np.int64)
+        self._c[:counters.size] = self._s0 + 1 - counters
         self._decay = np.zeros(self._rho.size, dtype=np.float64)
         self._decay[:self._k] = snap["decay_weights"]
 

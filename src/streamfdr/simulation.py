@@ -53,6 +53,11 @@ def to_pvalue(z, sidedness: str = "two"):
     return float(p) if p.ndim == 0 else p
 
 
+def _check_effect(effect: float):
+    if not math.isfinite(effect):
+        raise ValueError(f"effect must be finite, got {effect!r}")
+
+
 @dataclass
 class GeneratorConfig:
     length: int = 20000
@@ -70,6 +75,7 @@ class GeneratorConfig:
             raise ValueError("pi1 must lie in [0, 1]")
         if self.alternative not in ALTERNATIVES:
             raise ValueError(f"alternative must be one of {ALTERNATIVES}")
+        _check_effect(self.effect)
         if self.alternative == "scale" and self.effect <= 0.0:
             raise ValueError("scale-shift effect must be positive")
         if self.sidedness not in SIDEDNESS:
@@ -139,6 +145,7 @@ class BurstConfig:
             raise ValueError("burst_anomalies must fit inside the burst")
         if self.gap < 0:
             raise ValueError("gap must be nonnegative")
+        _check_effect(self.effect)
 
     @property
     def length(self) -> int:

@@ -49,6 +49,14 @@ class TestSimulate:
         assert code == cli.EXIT_VALIDATION
         assert "pi1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("effect", ["nan", "inf", "-inf"])
+    def test_non_finite_effect_exits_2(self, tmp_path, capsys, effect):
+        code = run("--output-dir", tmp_path, "simulate", "--pi1", "0.01",
+                   f"--effect={effect}")
+        assert code == cli.EXIT_VALIDATION
+        assert "effect must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "stream.csv").exists()
+
 
 class TestDetect:
     def test_decisions_and_floor_report(self, tmp_path, capsys):
@@ -76,6 +84,22 @@ class TestDetect:
         assert code == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "tau" in err and "lambda" in err
+
+    @pytest.mark.parametrize("method, flag, value", [
+        ("lord-decay", "--eta", "inf"), ("lord-decay", "--eta", "nan"),
+        ("lord", "--prune-epsilon", "nan"), ("lord", "--prune-epsilon", "inf"),
+        ("lord-decay", "--prune-epsilon", "nan"),
+        ("lord-decay", "--prune-epsilon", "inf"),
+    ])
+    def test_non_finite_rule_parameter_exits_2(self, tmp_path, capsys, method,
+                                               flag, value):
+        stream = simulate(tmp_path)
+        code = run("--output-dir", tmp_path, "detect", "--input", stream,
+                   "--method", method, flag, value, "--out", "bad")
+        assert code == cli.EXIT_VALIDATION
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_delta_ignored_warning(self, tmp_path, capsys):
         stream = simulate(tmp_path)
@@ -252,6 +276,19 @@ class TestVerify:
         assert code == cli.EXIT_VALIDATION
         number = row if row > 0 else len(lines) - 1
         assert f"row {number}:" in capsys.readouterr().err
+
+    def test_manifest_with_infinite_eta_exits_2(self, tmp_path, capsys):
+        # with eta = inf every threshold would be 1 and the oracle 0: a PASS
+        log, manifest = self._detect(tmp_path)
+        record = json.loads(manifest.read_text())
+        record["resolved"]["eta"] = float("inf")
+        manifest.write_text(json.dumps(record))
+        code = run("--output-dir", tmp_path, "verify", "--input", log,
+                   "--manifest", manifest)
+        assert code == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "eta must be finite" in captured.err
+        assert "PASS" not in captured.out
 
     def test_digest_mismatch_is_config_error(self, tmp_path, capsys):
         log, manifest = self._detect(tmp_path)

@@ -68,6 +68,14 @@ class TestConfigValidation:
         assert ControllerConfig(rule="lord", horizon=H).gamma.kind == "lord-default"
         assert ControllerConfig(rule="addis", horizon=H).gamma.kind == "power-law"
 
+    @pytest.mark.parametrize("rule", ["lord", "lord-decay", "addis", "fixed"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_non_finite_eta_and_prune_epsilon(self, rule, value):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            ControllerConfig(rule=rule, eta=value, horizon=H)
+        with pytest.raises(ValueError, match="prune_epsilon must be finite"):
+            ControllerConfig(rule=rule, prune_epsilon=value, horizon=H)
+
     def test_fixed_accepts_closed_endpoints(self):
         assert ControllerConfig(rule="fixed", alpha=1.0).alpha == 1.0
         assert ControllerConfig(rule="fixed", alpha=0.0).alpha == 0.0
@@ -526,6 +534,62 @@ LORD_V1_SNAPSHOT = (
     '171, 188], "t": 200, "version": 1}')
 
 
+#: written by the release that updated every candidate counter at each
+#: candidate step: saffron, horizon 100k, after 200 steps of the stream in
+#: test_v1_saffron_snapshot_resumes, whose first rejection (at 6) came after
+#: a candidate, so s1 < s0
+SAFFRON_V1_SNAPSHOT = (
+    '{"candidate_counters": [92, 85, 78, 71, 62, 52, 45, 41, 33, 21, 12, '
+    '5], "decay_weights": [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, '
+    '1.0, 1.0, 1.0], "decayed_rejections": 12.0, "decayed_spend": '
+    '1.0841422851143745, "format": "streamfdr-controller-state", '
+    '"harmonic_q": 0.0, "params": {"alpha": 0.1, "delta": 1.0, '
+    '"dependence_correction": false, "eta": 1.0, "gamma_kind": '
+    '"power-law", "gamma_param": 1.6, "horizon": 100000, "lag": 0, '
+    '"lag_decay_exponent": false, "lam": 0.5, "prune_epsilon": 1e-12, '
+    '"rule": "saffron", "tau": 1.0, "w0": 0.05}, "rejection_count": 12, '
+    '"rejection_times": [6, 23, 40, 57, 74, 91, 108, 125, 142, 159, 176, '
+    '193], "s0": 93, "s1": 92, "t": 200, "version": 1}')
+
+
+#: the same release: addis-decay, delta 0.9, prune_epsilon 1e-3, horizon
+#: 100k, after 200 steps of the stream in test_v1_addis_decay_snapshot_resumes;
+#: 10 of its 14 rejections had been pruned
+ADDIS_DECAY_V1_SNAPSHOT = (
+    '{"candidate_counters": [11, 8, 5, 1], "decay_weights": '
+    '[0.0030432527221704573, 0.01824800363140075, 0.10941898913151243, '
+    '0.6561000000000001], "decayed_rejections": 0.7874489121452128, '
+    '"decayed_spend": 0.02328863379910133, "format": '
+    '"streamfdr-controller-state", "harmonic_q": 0.0, "params": '
+    '{"alpha": 0.1, "delta": 0.9, "dependence_correction": false, "eta": '
+    '1.0, "gamma_kind": "power-law", "gamma_param": 1.6, "horizon": '
+    '100000, "lag": 0, "lag_decay_exponent": false, "lam": 0.25, '
+    '"prune_epsilon": 0.001, "rule": "addis-decay", "tau": 0.5, "w0": '
+    '0.05}, "rejection_count": 14, "rejection_times": [145, 162, 179, '
+    '196], "s0": 37, "s1": 35, "t": 200, "version": 1}')
+
+
+#: the release that kept the first rejection's decay weight by multiplying
+#: it at every step: lord-decay-ramdas, horizon 100k, after 200 steps of the
+#: stream in test_v1_ramdas_snapshot_resumes, the first rejection still held
+RAMDAS_V1_SNAPSHOT = (
+    '{"decay_weights": [0.13533300490703207, 0.1605481911108965, '
+    '0.19046145976502743, 0.22594815553398728, 0.26804671691687404, '
+    '0.2904884943099637, 0.3179890638191435, 0.37723664692350434, '
+    '0.44752321376381066, 0.5309055429551132, 0.6298236312032323, '
+    '0.7471720943315961, 0.8863848717161291], "decayed_rejections": '
+    '5.20786108725631, "decayed_spend": 0.20855836563899932, '
+    '"first_decay_weight": 0.13533300490703207, "first_rejection_time": '
+    '1, "format": "streamfdr-controller-state", "harmonic_q": 0.0, '
+    '"params": {"alpha": 0.1, "delta": 0.99, "dependence_correction": '
+    'false, "eta": 1.0, "gamma_kind": "lord-default", "gamma_param": '
+    'null, "horizon": 100000, "lag": 0, "lag_decay_exponent": false, '
+    '"lam": null, "prune_epsilon": 1e-12, "rule": "lord-decay-ramdas", '
+    '"tau": null, "w0": 0.05}, "rejection_count": 13, "rejection_times": '
+    '[1, 18, 35, 52, 69, 77, 86, 103, 120, 137, 154, 171, 188], "t": '
+    '200, "version": 1}')
+
+
 def step_loop(ctrl, p):
     decisions = [ctrl.step(x) for x in p]
     return (np.array([d.threshold for d in decisions]),
@@ -534,8 +598,8 @@ def step_loop(ctrl, p):
 
 
 class TestDecayKernel:
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(rule=st.sampled_from(KERNEL_RULES), lag=st.sampled_from((0, 3)),
+    @settings(max_examples=240, deadline=None, derandomize=True)
+    @given(rule=st.sampled_from(ORACLE_RULES), lag=st.sampled_from((0, 3)),
            correction=st.booleans(), lag_exponent=st.booleans(),
            eps=st.sampled_from((0.0, 1e-12, 1e-3)),
            delta=st.sampled_from((0.5, 0.9, 0.99, 1.0)),
@@ -544,8 +608,9 @@ class TestDecayKernel:
     def test_run_array_equals_step_loop(self, rule, lag, correction,
                                         lag_exponent, eps, delta, n, seed,
                                         ties, split):
-        dep = rule.startswith("lord-dep")
-        cfg = small_config(rule, delta=delta, lag=lag if dep else 0,
+        dep = RULE_SPECS[rule].lagged
+        cfg = small_config(rule, delta=delta if RULE_SPECS[rule].decays
+                           else None, lag=lag if dep else 0,
                            dependence_correction=correction,
                            lag_decay_exponent=lag_exponent and dep,
                            prune_epsilon=eps)
@@ -578,22 +643,28 @@ class TestDecayKernel:
         assert resumed.snapshot() == stepped.snapshot()
 
     @staticmethod
-    def _resumes_like_uninterrupted(cfg, text, seed):
+    def _resumes_like_uninterrupted(cfg, text, seed, first=0):
         """A snapshot written by an earlier release, after 200 steps of a
-        seeded stream, continues with the thresholds and decisions of the
-        uninterrupted run and its oracle carried on from the stored sums,
-        and the state the kernel keeps reproduces the stored one.  Returns
-        the uninterrupted log's tail and the resumed log."""
+        seeded stream (p = 1e-6 every 17 steps from row ``first``),
+        continues with the thresholds and decisions of the uninterrupted run
+        and its oracle carried on from the stored sums, and the state this
+        release keeps or derives reproduces the stored one.  Returns the
+        uninterrupted log's tail and the resumed log."""
         rng = np.random.default_rng(seed)
         p = rng.random(400)
-        p[::17] = 1e-6
+        p[first::17] = 1e-6
         whole = metrics.run_log(make_controller(cfg), p)
         resumed = restore_controller(cfg, text)
         tail = metrics.run_log(resumed, p[200:])
         np.testing.assert_array_equal(tail.alpha, whole.alpha[200:])
         np.testing.assert_array_equal(tail.rejected, whole.rejected[200:])
         stored = json.loads(text)
-        spend = discounted_sums(tail.alpha, cfg.delta, stored["decayed_spend"])
+        spend = tail.alpha
+        if cfg.spec.numerator == "indicator":
+            q = p[200:]
+            spend = np.where((cfg.lam < q) & (q <= cfg.tau),
+                             spend / (cfg.tau - cfg.lam), 0.0)
+        spend = discounted_sums(spend, cfg.delta, stored["decayed_spend"])
         rdelta = discounted_sums(tail.rejected, cfg.delta,
                                  stored["decayed_rejections"])
         if cfg.spec.denominator == "smooth":
@@ -604,10 +675,16 @@ class TestDecayKernel:
         ctrl = make_controller(cfg)
         metrics.run_log(ctrl, p[:200])
         ours = json.loads(ctrl.snapshot())
+        assert ours.keys() == stored.keys()
+        family = (("candidate_counters", "s0", "s1")
+                  if cfg.spec.family == "addis"
+                  else ("first_rejection_time", "first_decay_weight"))
         for key in ("params", "t", "rejection_count", "rejection_times",
-                    "decay_weights", "first_rejection_time",
-                    "first_decay_weight", "harmonic_q"):
+                    "decay_weights", "harmonic_q") + family:
             assert ours[key] == stored[key], key
+        # and a restored controller writes the stored state back
+        again = json.loads(restore_controller(cfg, text).snapshot())
+        assert again == stored
         return whole.oracle[200:], tail.oracle
 
     def test_v1_snapshot_resumes(self):
@@ -625,34 +702,86 @@ class TestDecayKernel:
         # on, so it spent less than this release does over the same steps
         assert np.all(tail < whole)
 
+    def test_v1_saffron_snapshot_resumes(self):
+        stored = json.loads(SAFFRON_V1_SNAPSHOT)
+        assert 1 < stored["s1"] < stored["s0"]
+        whole, tail = self._resumes_like_uninterrupted(
+            small_config("saffron"), SAFFRON_V1_SNAPSHOT, 73, first=5)
+        np.testing.assert_allclose(tail, whole, rtol=1e-13)
+
+    def test_v1_addis_decay_snapshot_resumes(self):
+        stored = json.loads(ADDIS_DECAY_V1_SNAPSHOT)
+        assert stored["rejection_count"] > len(stored["rejection_times"])
+        assert stored["s1"] < stored["s0"]
+        cfg = small_config("addis-decay", delta=0.9, prune_epsilon=1e-3)
+        whole, tail = self._resumes_like_uninterrupted(
+            cfg, ADDIS_DECAY_V1_SNAPSHOT, 79, first=8)
+        np.testing.assert_allclose(tail, whole, rtol=1e-13)
+
+    def test_v1_ramdas_snapshot_resumes(self):
+        stored = json.loads(RAMDAS_V1_SNAPSHOT)
+        assert stored["rejection_times"][0] == stored["first_rejection_time"]
+        assert 0.0 < stored["first_decay_weight"] < 1.0
+        whole, tail = self._resumes_like_uninterrupted(
+            small_config("lord-decay-ramdas"), RAMDAS_V1_SNAPSHOT, 83)
+        np.testing.assert_allclose(tail, whole, rtol=1e-13)
+
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     @pytest.mark.parametrize("short", [False, True], ids=["default", "short"])
     def test_lord_matches_a_direct_sum(self, eps, short):
-        # an independent computation of the undecayed thresholds,
-        # w0*(g_t - g_{t-r1}) + alpha * fsum(g_{t-rj}), over the rejection
-        # terms the prune rule keeps: a term is used last at the first step
-        # whose gamma index u >= 1 has g_u < prune_epsilon.  The short
-        # custom table ends at 150, where its weights are still above 1e-4.
+        self._matches_a_direct_sum("lord", eps, short)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    @pytest.mark.parametrize("short", [False, True], ids=["default", "short"])
+    def test_lord_decay_ramdas_matches_a_direct_sum(self, eps, short):
+        self._matches_a_direct_sum("lord-decay-ramdas", eps, short)
+
+    @staticmethod
+    def _matches_a_direct_sum(rule, eps, short):
+        # an independent computation of the classic thresholds over the
+        # rejection terms the prune rule keeps.  lord: w0*(g_t - g_{t-r1})
+        # + alpha * fsum(g_{t-rj}), a term used last at the first age u
+        # with g_u < prune_epsilon.  lord-decay-ramdas at delta = 0.99:
+        # w0*delta**(t-r1)*g_t while the first rejection is held (0 after),
+        # + (alpha - w0)*delta**u1*g_u1 + alpha * fsum(delta**uj*g_uj), a
+        # term used last at the first age u with delta**u < prune_epsilon.
+        # Either way the kernel ends at the horizon.  The short custom table
+        # ends at 150, where its weights are still above 1e-4.
         gamma = GammaSequence.custom(0.02 * 0.97 ** np.arange(150)) \
             if short else None
-        cfg = small_config("lord", prune_epsilon=eps, gamma=gamma)
-        g, w0, alpha = cfg.gamma.weight, cfg.w0, cfg.alpha
+        decays = rule != "lord"
+        cfg = small_config(rule, prune_epsilon=eps, gamma=gamma,
+                           delta=0.99 if decays else None)
+        g, w0, alpha, delta = cfg.gamma.weight, cfg.w0, cfg.alpha, cfg.delta
+        last = cfg.gamma.horizon
+        if eps > 0.0:
+            small = (lambda u: delta ** u < eps) if decays else \
+                (lambda u: g(u) < eps)
+            last = next((u for u in range(1, last) if small(u)), last)
         rng = np.random.default_rng(89)
         n = 3000
         p = np.ones(n)
         # rejections up to 60 steps apart, so that at 1e-3 the older terms
-        # are pruned (the first at age 92) while later ones are held, a
-        # dense burst, and a quiet tail
+        # are pruned (the first at age 92 for lord, 688 for
+        # lord-decay-ramdas) while later ones are held, a dense burst, and
+        # a quiet tail
         times = np.cumsum(rng.integers(1, 61, size=120))
         times = np.r_[times[times < 2500], np.arange(2500, 2530)]
         p[times - 1] = 0.0
         expected, rejected, held, r1 = [], [], [], None
         for t in range(1, n + 1):
-            held = [r for r in held
-                    if not (t - 1 - r >= 1 and g(t - 1 - r) < eps)]
-            # the first rejection's -w0 * g goes with its pruned term
-            pre = w0 * (g(t) - g(t - r1)) if r1 in held else w0 * g(t)
-            alpha_t = min(pre + alpha * math.fsum(g(t - r) for r in held), 1.0)
+            held = [r for r in held if t - r <= last]
+            if r1 is None:
+                pre = w0 * g(t)
+            elif decays:
+                pre = w0 * delta ** (t - r1) * g(t) if r1 in held else 0.0
+            else:
+                # the first rejection's -w0 * g goes with its pruned term
+                pre = w0 * (g(t) - g(t - r1)) if r1 in held else w0 * g(t)
+            first = {r1: alpha - w0} if decays else {}
+            credit = math.fsum(first.get(r, alpha) * delta ** (t - r)
+                               * g(t - r) for r in held)
+            alpha_t = min(pre + credit, 1.0)
             expected.append(alpha_t)
             rejected.append(p[t - 1] <= alpha_t)
             if rejected[-1]:

@@ -108,6 +108,15 @@ class TestGenerator:
         with pytest.raises(ValueError):
             GeneratorConfig(length=10, pi1=0.1, sidedness="both")
 
+    @pytest.mark.parametrize("effect", [math.nan, math.inf, -math.inf])
+    def test_effect_must_be_finite(self, effect):
+        for alternative in ("mean", "scale"):
+            with pytest.raises(ValueError, match="effect must be finite"):
+                GeneratorConfig(length=10, pi1=0.1, alternative=alternative,
+                                effect=effect)
+        with pytest.raises(ValueError, match="effect must be finite"):
+            BurstConfig(effect=effect)
+
 
 class TestBurstScenario:
     def test_shape_and_determinism(self):
