@@ -14,7 +14,7 @@ from .controllers import (ADDIS_FAMILY, LORD_FAMILY, ORACLE_RULES, RULES,
 from .forecaster import (SeriesFrame, ingest_csv, min_across_dims,
                          rolling_gaussian_pvalues, score_frame)
 from .gamma import (DecayedGammaSequence, GammaSequence, decayed_gamma,
-                    harmonic_number, lord_gamma, power_gamma)
+                    lord_gamma, power_gamma)
 from .metrics import (DecisionLog, VerificationReport, mfdr_estimate, run_log,
                       summarize_log, verify_oracle_and_surplus)
 from .simulation import (BurstConfig, FrontierConfig, GeneratorConfig, Stream,
@@ -29,7 +29,7 @@ __all__ = [
     "SeriesFrame", "ingest_csv", "min_across_dims",
     "rolling_gaussian_pvalues", "score_frame",
     "DecayedGammaSequence", "GammaSequence", "decayed_gamma",
-    "harmonic_number", "lord_gamma", "power_gamma",
+    "lord_gamma", "power_gamma",
     "DecisionLog", "VerificationReport", "mfdr_estimate", "run_log",
     "summarize_log", "verify_oracle_and_surplus",
     "BurstConfig", "FrontierConfig", "GeneratorConfig", "Stream",

@@ -268,6 +268,9 @@ class ControllerConfig:
             if not 0.0 <= self.alpha <= 1.0:
                 raise ValueError("fixed threshold must lie in [0, 1]")
             self.delta = 1.0 if self.delta is None else self.delta
+            if not 0.0 < self.delta <= 1.0:
+                # the summary discounts its counts by delta
+                raise ValueError("delta must lie in (0, 1]")
             return
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")

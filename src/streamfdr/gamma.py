@@ -15,16 +15,21 @@ therefore always safe.
 
 ``DecayedGammaSequence`` wraps a base sequence for memory-decay rules with
 discount factor delta in (0, 1]: gtilde_t = max(gamma_t, 1 - delta), which
-keeps weights bounded away from zero.  Feasibility -- the discounted sums
-sum_{t<=T} delta**(T-t) * gtilde_t must stay <= 1 for every T -- is verified
-numerically at construction and repaired by a global rescale if ever violated
-(for the max() construction the scan provably never triggers, but custom
+keeps weights bounded away from zero.  As the base is non-increasing, gtilde
+is a head of the weights above 1 - delta followed by a constant floor, and
+it is stored that way: a few weights, not H.  Feasibility -- the discounted
+sums sum_{t<=T} delta**(T-t) * gtilde_t must stay <= 1 for every T -- is
+checked at construction by an exact scan of the head and the floor run, and
+repaired by a global rescale if ever violated (for a base summing to at most
+1 it provably never triggers in exact arithmetic, but round-off and custom
 bases get the same safety net).
 
 ``discounted_sums`` runs that recurrence, y_t = delta * y_{t-1} + x_t, over
-a whole array; the controllers and the verifier use it too.  It rounds every
-step as the scalar loop does, so its results are bit-identical to that loop
-(and to ``scipy.signal.lfilter([1], [1, -delta], x)``).
+a whole array; the controllers' ``run_array`` and the verifier use it.  It
+rounds every step as the scalar loop does, so its results are bit-identical
+to that loop (and to ``scipy.signal.lfilter([1], [1, -delta], x)``).  It
+imports scipy's LAPACK on its first call, so building and stepping a
+controller imports no scipy.
 
 Instances are immutable after construction and safe to share across workers.
 """
@@ -35,7 +40,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 DEFAULT_HORIZON = 1_000_000
 
@@ -65,6 +69,7 @@ def discounted_sums(values, delta: float, start: float = 0.0) -> np.ndarray:
     y[0] += delta * start
     if n == 1:  # dgtsv's wrapper refuses empty off-diagonals
         return y
+    from scipy.linalg.lapack import dgtsv  # here: stepping loads no scipy
     y = dgtsv(np.full(n - 1, -delta), np.ones(n), np.zeros(n - 1), y,
               1, 1, 1, 1)[3]
     if np.isfinite(y).all():
@@ -78,10 +83,16 @@ def discounted_sums(values, delta: float, start: float = 0.0) -> np.ndarray:
 
 
 def _lord_default_raw(t: np.ndarray) -> np.ndarray:
-    # log(max(t, 2)) / (t * exp(sqrt(log t))); at t = 1 this is log 2.
-    t = t.astype(np.float64)
-    logt = np.log(t)
-    return np.log(np.maximum(t, 2.0)) / (t * np.exp(np.sqrt(logt)))
+    """log(max(t, 2)) / (t * exp(sqrt(log t))) for a float array t, written
+    over t itself; at t = 1 this is log 2."""
+    den = np.log(t)
+    np.sqrt(den, out=den)
+    np.exp(den, out=den)
+    den *= t
+    np.maximum(t, 2.0, out=t)
+    np.log(t, out=t)
+    t /= den
+    return t
 
 
 class GammaSequence:
@@ -100,35 +111,32 @@ class GammaSequence:
         self.horizon = int(raw.size)
         if np.any(raw < 0.0):
             raise ValueError("gamma weights must be nonnegative")
-        if np.any(np.diff(raw) > 0.0):
+        if np.any(raw[1:] > raw[:-1]):
             raise ValueError("gamma weights must be non-increasing")
         total = float(raw.sum())
         if normalize:
             if total <= 0.0:
                 raise ValueError("gamma weights must have positive sum")
             self.norm_const = total
-            table = raw / total
         else:
             if total > 1.0 + _SUM_TOL:
                 raise ValueError(
                     f"gamma weights must sum to at most 1 (got {total!r})")
-            self.norm_const = 1.0
-            table = np.asarray(raw, dtype=np.float64)
+            self.norm_const = 1.0  # dividing by it is exact
         # padded[i] = gamma_i for 1 <= i <= H; index 0 and H+1 hold the
         # out-of-range value 0, so lookups can clip instead of branch
         # (np.minimum/np.maximum: np.clip costs several times more per call).
         padded = np.zeros(self.horizon + 2, dtype=np.float64)
-        padded[1:-1] = table
-        self.table = table
+        np.divide(raw, self.norm_const, out=padded[1:-1])
+        padded.flags.writeable = False
         self._padded = padded
-        self.table.flags.writeable = False
-        self._padded.flags.writeable = False
+        self.table = padded[1:-1]
 
     def weight(self, t: int) -> float:
         """gamma_t as a scalar (0 outside 1..horizon)."""
         if t < 1 or t > self.horizon:
             return 0.0
-        return float(self.table[t - 1])
+        return float(self._padded[t])
 
     def weights(self, idx: np.ndarray) -> np.ndarray:
         """gamma_idx for an integer array, mapping out-of-range indices to 0."""
@@ -142,7 +150,7 @@ class GammaSequence:
     def lord_default(cls, horizon: int = DEFAULT_HORIZON) -> "GammaSequence":
         if horizon < 1:
             raise ValueError("horizon must be positive")
-        t = np.arange(1, horizon + 1, dtype=np.int64)
+        t = np.arange(1, horizon + 1, dtype=np.float64)
         return cls("lord-default", _lord_default_raw(t))
 
     @classmethod
@@ -152,7 +160,7 @@ class GammaSequence:
         if horizon < 1:
             raise ValueError("horizon must be positive")
         t = np.arange(1, horizon + 1, dtype=np.float64)
-        return cls("power-law", t ** (-s), param=float(s))
+        return cls("power-law", np.power(t, -s, out=t), param=float(s))
 
     @classmethod
     def custom(cls, weights) -> "GammaSequence":
@@ -186,62 +194,117 @@ class GammaSequence:
         return cls.custom(values)
 
 
+def _peak_decayed_sum(head: np.ndarray, floor: float, delta: float,
+                      horizon: int) -> float:
+    """max over T <= horizon of A(T) = delta * A(T-1) + gtilde_T, A(0) = 0,
+    where gtilde is ``head`` followed by ``floor``, each step rounded as the
+    scalar loop rounds it (see ``DecayedGammaSequence``)."""
+    if delta == 1.0:
+        # fl(1.0 * y) is y, so the loop is a running sum; cumsum adds in order
+        sums = np.cumsum(head)
+        peak, y = ((float(sums.max()), float(sums[-1])) if sums.size
+                   else (-math.inf, 0.0))
+    else:
+        peak, y = -math.inf, 0.0
+        for x in head.tolist():
+            y = delta * y + x
+            if y > peak:
+                peak = y
+    run = horizon - head.size
+    if run:
+        # the floor run is monotone: its maximum is its first or last value
+        first = y = delta * y + floor
+        for _ in range(run - 1):
+            nxt = delta * y + floor
+            if nxt == y:  # a fixed point: the rest of the run stays here
+                break
+            y = nxt
+        peak = max(peak, first, y)
+    return peak
+
+
 class DecayedGammaSequence:
     """Floor-adjusted weights gtilde_t = max(gamma_t, 1 - delta) for decay rules.
 
-    The discounted-sum constraint max_T sum_{t<=T} delta**(T-t) gtilde_t <= 1
-    is scanned over the whole horizon with the exact recurrence
-    A(T) = delta * A(T-1) + gtilde_T.  If the maximum exceeds 1 the table is
-    rescaled by 1/max, which restores feasibility while preserving the
-    positive floor (now (1 - delta) * rescale).
+    Storage.  Let k be the number of base weights above 1 - delta.  The base
+    is non-increasing, so they are gamma_1..gamma_k, and every later gtilde_t
+    is exactly 1 - delta (times ``rescale``), which is ``floor`` bit for
+    bit.  So only that head is stored: ``_padded`` is
+    [0, gtilde_1..gtilde_k, floor], lookups clip to index k + 1, and
+    ``table`` materialises all H weights on demand.
+
+    Feasibility.  The discounted sums A(T) = delta * A(T-1) + gtilde_T must
+    stay <= 1 for every T <= H.  The scan rounds each step as the scalar loop
+    (and ``discounted_sums`` over the full table) does: a loop over the head
+    (a cumsum at delta = 1, where fl(1.0 * y) is y), then the floor run
+    T = k+1..H, which iterates F(y) = fl(fl(delta * y) + floor).  F is
+    non-decreasing, so the run is monotone and its maximum is its first or
+    its last value; once F(y) == y it stays put, so the loop stops at that
+    fixed point, or at H.  If the maximum exceeds 1 the weights are rescaled
+    by 1/max, which restores feasibility while keeping a positive floor,
+    now (1 - delta) * rescale.
+
+    In exact arithmetic the rescale never triggers for a base whose weights
+    sum to at most 1: for T <= k, A(T) <= gamma_1 + ... + gamma_T <= 1, and
+    for T > k, A(T) = delta**(T-k) * A(k) + (1 - delta**(T-k)), a convex
+    combination of A(k) <= 1 and 1.  It is there for round-off and for
+    duck-typed bases (any object with a non-increasing ``table`` and its
+    ``horizon``).
     """
 
     __slots__ = ("base", "delta", "rescale", "floor", "max_decayed_sum",
-                 "table", "_padded")
+                 "_head_size", "_padded")
 
     def __init__(self, base: GammaSequence, delta: float):
         if not 0.0 < delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
         self.base = base
         self.delta = float(delta)
-        table = np.maximum(base.table, 1.0 - self.delta)
-        running = discounted_sums(table, self.delta)
-        peak = float(running.max())
+        floor = 1.0 - self.delta
+        head = base.table[:int(np.count_nonzero(base.table > floor))]
+        peak = _peak_decayed_sum(head, floor, self.delta, base.horizon)
         if peak > 1.0 + _SUM_TOL:
             self.rescale = 1.0 / peak
-            table = table * self.rescale
-            running = discounted_sums(table, self.delta)
-            peak = float(running.max())
+            head = head * self.rescale
+            floor = floor * self.rescale
+            peak = _peak_decayed_sum(head, floor, self.delta, base.horizon)
             if peak > 1.0 + 1e-9:
                 raise ValueError(
                     "decayed gamma sequence infeasible even after rescaling")
         else:
             self.rescale = 1.0
         self.max_decayed_sum = peak
-        self.floor = (1.0 - self.delta) * self.rescale
-        padded = np.zeros(base.horizon + 2, dtype=np.float64)
-        padded[1:-1] = table
-        padded[-1] = self.floor  # beyond the horizon the floor is all that remains
-        self.table = table
+        self.floor = floor
+        self._head_size = head.size
+        padded = np.zeros(head.size + 2, dtype=np.float64)
+        padded[1:-1] = head
+        padded[-1] = floor  # past the head the floor is all that remains
+        padded.flags.writeable = False
         self._padded = padded
-        self.table.flags.writeable = False
-        self._padded.flags.writeable = False
 
     @property
     def horizon(self) -> int:
         return self.base.horizon
 
+    @property
+    def table(self) -> np.ndarray:
+        """gtilde_1..gtilde_H as a read-only array, built on each access."""
+        table = np.full(self.base.horizon, self.floor)
+        table[:self._head_size] = self._padded[1:-1]
+        table.flags.writeable = False
+        return table
+
     def weight(self, t: int) -> float:
-        """gtilde_t as a scalar (floor value beyond the horizon, 0 for t <= 0)."""
+        """gtilde_t as a scalar (the floor past the head, 0 for t <= 0)."""
         if t < 1:
             return 0.0
-        if t > self.base.horizon:
+        if t > self._head_size:
             return self.floor
-        return float(self.table[t - 1])
+        return float(self._padded[t])
 
     def weights(self, idx: np.ndarray) -> np.ndarray:
         return self._padded[np.minimum(np.maximum(idx, 0),
-                                       self.base.horizon + 1)]
+                                       self._head_size + 1)]
 
     def __repr__(self):
         return (f"DecayedGammaSequence(base={self.base!r}, delta={self.delta}, "
@@ -278,7 +341,3 @@ def decayed_gamma(base: GammaSequence, delta: float) -> DecayedGammaSequence:
         return _cached_decayed(base.kind, base.param, base.horizon, delta)
     return DecayedGammaSequence(base, delta)
 
-
-def harmonic_number(t: int) -> float:
-    """q(t) = sum_{k<=t} 1/k, the divisor used under arbitrary dependence."""
-    return float(math.fsum(1.0 / k for k in range(1, t + 1)))

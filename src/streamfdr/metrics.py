@@ -200,27 +200,13 @@ def verify_oracle_and_surplus(log: DecisionLog, config: ControllerConfig,
     )
 
 
-def truncate_log(log: DecisionLog, upto: int) -> DecisionLog:
-    """Prefix of a log through step ``upto`` (for time-sliced curves)."""
-    if not 0 <= upto <= len(log):
-        raise ValueError(f"upto must lie in [0, {len(log)}]")
-    return DecisionLog(
-        p=log.p[:upto], alpha=log.alpha[:upto], rejected=log.rejected[:upto],
-        oracle=None if log.oracle is None else log.oracle[:upto],
-        is_null=None if log.is_null is None else log.is_null[:upto])
-
-
 def summarize_log(log: DecisionLog, config: ControllerConfig,
                   delta: Optional[float] = None,
-                  eta: Optional[float] = None,
-                  upto: Optional[int] = None) -> dict:
-    """Metrics row for one run, evaluated at end of stream by default.
+                  eta: Optional[float] = None) -> dict:
+    """Metrics row for one run, evaluated at the end of the log.
 
-    Pass ``upto`` to evaluate at an earlier step instead.  Labels are
-    optional; unlabeled fields come back as None.
+    Labels are optional; unlabeled fields come back as None.
     """
-    if upto is not None:
-        log = truncate_log(log, upto)
     delta = config.delta if delta is None else delta
     eta = config.eta if eta is None else eta
     n = len(log)

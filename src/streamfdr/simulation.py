@@ -18,14 +18,11 @@ per-seed comparisons between methods paired.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import controllers, metrics
 from .controllers import ControllerConfig
@@ -41,6 +38,7 @@ def to_pvalue(z, sidedness: str = "two"):
            so extreme values keep full relative accuracy
     upper: 1 - F(z);  lower: F(z)
     """
+    from scipy.special import ndtr  # here: stepping loads no scipy
     z = np.asarray(z, dtype=np.float64)
     if sidedness == "two":
         p = 2.0 * ndtr(-np.abs(z))
@@ -219,6 +217,18 @@ class SweepConfig:
             raise ValueError("reps must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        # checked here, so that a bad setting fails before any cell runs
+        if self.length < 1:
+            raise ValueError("length must be positive")
+        for pi1 in self.pi1_grid:
+            if not 0.0 <= pi1 <= 1.0:
+                raise ValueError(f"pi1 must lie in [0, 1], got {pi1!r}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        if not 0.0 < self.delta <= 1.0:
+            raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
 
 
 @dataclass
@@ -307,6 +317,8 @@ def _map_cells(task, tasks: list, workers: int) -> list:
     """
     if workers <= 1:
         return [task(t) for t in tasks]
+    import multiprocessing  # only a pool needs these
+    from concurrent.futures import ProcessPoolExecutor
     saved = {name: os.environ.get(name) for name in _ONE_THREAD}
     os.environ.update(dict.fromkeys(_ONE_THREAD, "1"))
     try:

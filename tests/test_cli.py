@@ -101,6 +101,18 @@ class TestDetect:
         assert f"{name} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "bad.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "2", "0", "-0.5"])
+    def test_fixed_rule_delta_outside_unit_interval_exits_2(self, tmp_path,
+                                                            capsys, value):
+        stream = simulate(tmp_path)
+        capsys.readouterr()
+        code = run("--output-dir", tmp_path, "detect", "--input", stream,
+                   "--method", "fixed", f"--delta={value}", "--out", "bad")
+        assert code == cli.EXIT_VALIDATION
+        assert "delta must lie in (0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "bad.csv").exists()
+        assert not (tmp_path / "bad.metrics.json").exists()
+
     def test_delta_ignored_warning(self, tmp_path, capsys):
         stream = simulate(tmp_path)
         code = run("--output-dir", tmp_path, "detect", "--input", stream,
@@ -573,6 +585,39 @@ class TestSweepAndRerun:
         assert "cell exploded" in err
         assert (tmp_path / "bad.raw.csv").exists()
 
+    @pytest.mark.parametrize("argv, name", [
+        (["--preset", "fig4", "--length", "0"], "length"),
+        (["--preset", "fig1", "--alpha", "nan"], "alpha"),
+        (["--preset", "fig4", "--alpha", "1"], "alpha"),
+        (["--preset", "fig1", "--delta", "nan"], "delta"),
+        (["--preset", "fig4", "--delta", "1.5"], "delta"),
+        (["--config", "eta"], "eta"),
+        (["--config", "pi1"], "pi1"),
+    ], ids=["length-0", "alpha-nan", "alpha-1", "delta-nan", "delta-1.5",
+            "eta-inf", "pi1-nan"])
+    def test_bad_grid_setting_exits_2_before_any_cell(self, tmp_path, capsys,
+                                                      monkeypatch, argv, name):
+        from streamfdr import simulation
+
+        def never(*args):
+            raise AssertionError("a sweep cell ran")
+
+        monkeypatch.setattr(simulation, "_sweep_cell", never)
+        if argv[0] == "--config":
+            cfgfile = tmp_path / "sweep.cfg"
+            cfgfile.write_text({"eta": "preset = fig4\neta = inf\n",
+                                "pi1": "preset = fig1\npi1_grid = 0.1,nan\n"}
+                               [argv[1]])
+            argv = ["--config", cfgfile]
+        out = tmp_path / "out"
+        code = run("--output-dir", out, "sweep", *argv, "--reps", "1",
+                   "--out", "bad")
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"error: {name} must" in err
+        assert "cell(s) failed" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
         assert run("simulate", "--pi1", "0.0", "--length", "50",
@@ -580,8 +625,7 @@ class TestSweepAndRerun:
         assert (tmp_path / "envout" / "envstream.csv").exists()
 
 
-#: a fresh interpreter runs each command once, then lists the scipy.signal
-#: modules it has loaded
+#: a fresh interpreter runs each command once
 _COLD_START = """
 import json
 import sys
@@ -608,19 +652,67 @@ run("detect", "--input", out + "/stream.csv", "--method", "lord-decay",
 for method in ("scratch", "recurrence"):
     run("verify", "--input", out + "/det.csv", "--manifest",
         out + "/det.manifest.json", "--method", method)
-print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy.signal" or m.startswith("scipy.signal."))))
+"""
+
+
+#: a fresh interpreter builds every rule at its defaults, steps it, and runs
+#: the scratch verifier on a log written beforehand
+_ONLINE = """
+import json
+import sys
+
+from streamfdr import cli, controllers
+
+out = sys.argv[1]
+for rule in controllers.RULES:
+    ctrl = controllers.make_controller(controllers.ControllerConfig(rule=rule))
+    for p in (0.5, 1e-9, 0.2, 1e-9, 0.9):
+        ctrl.step(p)
+assert cli.main(["verify", "--input", out + "/det.csv", "--manifest",
+                 out + "/det.manifest.json", "--method", "scratch"]) == 0
+"""
+
+#: a fresh interpreter runs detect on a stream written beforehand
+_DETECT = """
+import json
+import sys
+
+from streamfdr import cli
+
+out = sys.argv[1]
+assert cli.main(["--output-dir", out + "/again", "detect", "--input",
+                 out + "/stream.csv", "--method", "lord-decay"]) == 0
 """
 
 
 class TestColdStart:
     def test_no_command_imports_scipy_signal(self, tmp_path):
         # scipy.signal alone took most of a cold start's import time
+        loaded = self._scipy_after(_COLD_START, tmp_path)
+        assert [m for m in loaded if m.startswith("scipy.signal")] == []
+        assert (tmp_path / "scored.csv").exists()
+
+    @staticmethod
+    def _scipy_after(script, *argv):
+        """The scipy modules a fresh interpreter has loaded after ``script``."""
         src = os.path.dirname(os.path.dirname(streamfdr.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)],
-                              env=env, capture_output=True, text=True,
-                              timeout=300)
+        script += ("\nprint(json.dumps(sorted(m for m in sys.modules\n"
+                   "                        if m.split('.')[0] == 'scipy')))\n")
+        done = subprocess.run([sys.executable, "-c", script,
+                               *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == []
-        assert (tmp_path / "scored.csv").exists()
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_online_path_imports_no_scipy(self, tmp_path):
+        # the rules, their step and the scratch verifier are numpy only;
+        # scipy loads where it is used: LAPACK for the batch sums, ndtr for
+        # p-values
+        stream = simulate(tmp_path, pi1=0.05, length=2000)
+        assert run("--output-dir", tmp_path, "detect", "--input", stream,
+                   "--method", "lord-decay", "--out", "det") == 0
+        assert self._scipy_after(_ONLINE, tmp_path) == []
+        loaded = self._scipy_after(_DETECT, tmp_path)
+        assert "scipy.linalg" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.special")]

@@ -82,6 +82,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ControllerConfig(rule="fixed", alpha=1.5)
 
+    @pytest.mark.parametrize("rule", ["fixed", "lord-decay", "addis-decay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.0, 0.0, -0.5])
+    def test_delta_outside_unit_interval(self, rule, value):
+        # every summary discounts by delta, the fixed baseline's too
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\]"):
+            ControllerConfig(rule=rule, delta=value, horizon=H)
+
 
 class TestLordThresholds:
     def test_no_rejection_spend_is_w0_gamma(self):
@@ -309,6 +316,31 @@ class TestDependenceCorrection:
         q10 = math.fsum(1.0 / k for k in range(1, 11))
         assert log_b.alpha[9] == pytest.approx(log_a.alpha[9] / q10, rel=1e-12)
         assert q10 == pytest.approx(2.9289682539682538, rel=1e-15)
+
+    @staticmethod
+    def _divisors(n):
+        """q(1..n) as a stepped controller holds them, and q(n) after
+        ``run_array``."""
+        cfg = small_config("lord-decay", dependence_correction=True)
+        ctrl = make_controller(cfg)
+        stepped = []
+        for _ in range(n):
+            ctrl.step(1.0)
+            stepped.append(json.loads(ctrl.snapshot())["harmonic_q"])
+        batch = make_controller(cfg)
+        batch.run_array(np.ones(n))
+        return stepped, json.loads(batch.snapshot())["harmonic_q"]
+
+    def test_harmonic_divisor_small_values(self):
+        stepped, batch = self._divisors(2)
+        assert stepped == [1.0, 1.5]
+        assert batch == 1.5
+
+    def test_harmonic_divisor_ten_terms_direct_summation(self):
+        stepped, batch = self._divisors(10)
+        exact = math.fsum(1.0 / k for k in range(1, 11))
+        assert stepped[-1] == pytest.approx(exact, rel=1e-15)
+        assert batch == stepped[-1]
 
     def test_correction_keeps_certificate(self):
         rng = np.random.default_rng(31)

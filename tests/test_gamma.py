@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter
 
+import streamfdr
 from streamfdr import cli, metrics
 from streamfdr.gamma import (DEFAULT_HORIZON, DecayedGammaSequence,
-                             GammaSequence, decayed_gamma, discounted_sums,
-                             harmonic_number, lord_gamma, power_gamma)
+                             GammaSequence, _lord_default_raw, decayed_gamma,
+                             discounted_sums, lord_gamma, power_gamma)
 
 H_SMALL = 100_000
 
@@ -50,8 +54,24 @@ class TestLordDefault:
         expect = np.array([g.weight(int(i)) for i in idx])
         np.testing.assert_array_equal(g.weights(idx), expect)
 
+    def test_in_place_raw_weights_match_the_formula(self):
+        # the table is computed in one buffer; pin it to the plain expression
+        t = np.arange(1, DEFAULT_HORIZON + 1, dtype=np.float64)
+        expect = np.log(np.maximum(t, 2.0)) / (t * np.exp(np.sqrt(np.log(t))))
+        np.testing.assert_array_equal(_lord_default_raw(t.copy()), expect)
+        g = GammaSequence.lord_default(DEFAULT_HORIZON)
+        np.testing.assert_array_equal(g.table, expect / float(expect.sum()))
+        assert g.norm_const == float(expect.sum())
+
 
 class TestPowerLaw:
+    @pytest.mark.parametrize("s", [1.6, 2.0, 3.5])
+    def test_in_place_table_matches_the_formula(self, s):
+        t = np.arange(1, DEFAULT_HORIZON + 1, dtype=np.float64)
+        raw = t ** (-s)
+        g = GammaSequence.power_law(s, DEFAULT_HORIZON)
+        np.testing.assert_array_equal(g.table, raw / float(raw.sum()))
+
     def test_ratio_cancels_normalization(self):
         g = power_gamma(1.6, H_SMALL)
         assert g.weight(1) / g.weight(2) == pytest.approx(2.0 ** 1.6, rel=1e-12)
@@ -182,20 +202,12 @@ class TestVectorLookup:
         h = seq.horizon
         idx = np.array([-5, -1, 0, 1, 2, h // 2, h - 1, h, h + 1, h + 2,
                         10 * h + 7], dtype=np.int64)
-        expect = seq._padded[np.clip(idx, 0, h + 1)]
+        # 0 before the table; past it 0, or the floor of a decayed sequence
+        full = np.r_[0.0, seq.table, getattr(seq, "floor", 0.0)]
+        expect = full[np.clip(idx, 0, h + 1)]
         np.testing.assert_array_equal(seq.weights(idx), expect)
         assert [float(w) for w in seq.weights(idx)] == [
             seq.weight(int(i)) for i in idx]
-
-
-class TestHarmonic:
-    def test_small_values(self):
-        assert harmonic_number(1) == 1.0
-        assert harmonic_number(2) == 1.5
-
-    def test_ten_terms_direct_summation(self):
-        assert harmonic_number(10) == pytest.approx(
-            math.fsum(1.0 / k for k in range(1, 11)), rel=1e-15)
 
 
 def _lfilter_sums(values, delta, start=0.0):
@@ -304,6 +316,77 @@ class TestDecayedBuildBitExact:
         np.testing.assert_array_equal(tilde.table, table)
         assert tilde.rescale == rescale
         assert tilde.max_decayed_sum == peak
+
+
+    @pytest.mark.parametrize("horizon", [10, 1000, DEFAULT_HORIZON])
+    @pytest.mark.parametrize("kind", ["lord", "power"])
+    def test_compact_table_matches_full_construction(self, kind, horizon):
+        # only the weights above the floor are stored; every lookup, out to
+        # ten past the horizon, gives the bits of the full table
+        base = lord_gamma(horizon) if kind == "lord" else power_gamma(1.6, horizon)
+        idx = np.arange(-3, horizon + 11)
+        for delta in (0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999, 1.0):
+            tilde = DecayedGammaSequence(base, delta)
+            table, rescale, peak = _lfilter_decayed(base, delta)
+            floor = (1.0 - delta) * rescale
+            full = np.r_[0.0, table, floor]
+            np.testing.assert_array_equal(
+                tilde.weights(idx), full[np.clip(idx, 0, horizon + 1)])
+            assert [tilde.weight(int(t)) for t in idx[:40]] == full[
+                np.clip(idx[:40], 0, horizon + 1)].tolist()
+            assert tilde.weight(horizon + 10) == floor
+            np.testing.assert_array_equal(tilde.table, table)
+            assert (tilde.rescale, tilde.floor, tilde.max_decayed_sum) == (
+                rescale, floor, peak)
+
+    @pytest.mark.parametrize("delta", [0.99, 0.999, 0.9999, 1.0])
+    def test_rescaled_compact_table(self, delta):
+        base = SimpleNamespace(table=np.r_[np.full(100, 0.05), np.zeros(900)],
+                               horizon=1000)
+        tilde = DecayedGammaSequence(base, delta)
+        table, rescale, peak = _lfilter_decayed(base, delta)
+        assert rescale < 1.0
+        idx = np.arange(-3, 1011)
+        full = np.r_[0.0, table, (1.0 - delta) * rescale]
+        np.testing.assert_array_equal(tilde.weights(idx),
+                                      full[np.clip(idx, 0, 1001)])
+        assert (tilde.rescale, tilde.floor, tilde.max_decayed_sum) == (
+            rescale, (1.0 - delta) * rescale, peak)
+
+    def test_table_is_read_only(self):
+        tilde = decayed_gamma(lord_gamma(H_SMALL), 0.99)
+        with pytest.raises(ValueError):
+            tilde.table[0] = 1.0
+        with pytest.raises(ValueError):
+            lord_gamma(H_SMALL).table[0] = 1.0
+
+
+#: a fresh interpreter builds the lord-decay controller at its defaults
+#: under tracemalloc and prints the memory it holds and its peak, in MiB
+_FOOTPRINT = """
+import tracemalloc
+
+from streamfdr import ControllerConfig, make_controller
+
+tracemalloc.start()
+ctrl = make_controller(ControllerConfig(rule="lord-decay"))
+held, peak = tracemalloc.get_traced_memory()
+print(held / 2 ** 20, peak / 2 ** 20)
+"""
+
+
+class TestFootprint:
+    def test_decay_controller_holds_one_base_table(self):
+        # the 10**6-weight base (7.6 MiB) and a few decayed weights; the
+        # full gtilde table and the scan's running sums are never built
+        src = os.path.dirname(os.path.dirname(streamfdr.__file__))
+        done = subprocess.run([sys.executable, "-c", _FOOTPRINT],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        held, peak = map(float, done.stdout.split())
+        assert held <= 9.0
+        assert peak <= 16.0
 
 
 class TestVerifyForgedLogs:

@@ -13,14 +13,20 @@ from streamfdr.simulation import GeneratorConfig, generate_stream, method_config
 FIXED = ControllerConfig(rule="fixed", alpha=0.05)
 
 
-def summary(rejected, is_null=None, delta=0.99, eta=1.0, upto=None):
+def summary(rejected, is_null=None, delta=0.99, eta=1.0):
     """summarize_log of a hand-built log with the given decisions and labels."""
     rejected = np.asarray(rejected, dtype=bool)
     log = DecisionLog(p=np.where(rejected, 0.01, 0.5),
                       alpha=np.full(rejected.size, 0.05), rejected=rejected,
                       is_null=None if is_null is None
                       else np.asarray(is_null, dtype=bool))
-    return metrics.summarize_log(log, FIXED, delta=delta, eta=eta, upto=upto)
+    return metrics.summarize_log(log, FIXED, delta=delta, eta=eta)
+
+
+def head(log, n):
+    """The first n rows of a decision log."""
+    return DecisionLog(**{k: None if v is None else v[:n]
+                          for k, v in vars(log).items()})
 
 
 class TestAccumulator:
@@ -49,7 +55,7 @@ class TestAccumulator:
             r_acc = delta * r_acc + r
             v_acc = delta * v_acc + (r if null[t - 1] else 0.0)
             if t in (1, 2, 137, 1000, 2000):
-                row = summary(rejected, null, delta=delta, upto=t)
+                row = summary(rejected[:t], null[:t], delta=delta)
                 assert row["r_delta"] == pytest.approx(r_acc, rel=1e-12)
                 assert row["v_delta"] == pytest.approx(v_acc, rel=1e-12)
 
@@ -216,7 +222,7 @@ class TestVerifier:
         (1e-10, "cubic"), (1e-10, "")])
     def test_bad_options_rejected_before_anything_else(self, n, tol, method):
         cfg, log = self._log(n=max(n, 1))
-        log = metrics.truncate_log(log, n)
+        log = head(log, n)
         with pytest.raises(ValueError, match="tol|method"):
             verify_oracle_and_surplus(log, cfg, tol=tol, method=method)
         with pytest.raises(ValueError, match="tol|method"):
@@ -274,15 +280,14 @@ class TestSummarize:
         stream = generate_stream(GeneratorConfig(length=2000, pi1=0.05, seed=11))
         log = metrics.run_log(make_controller(cfg), stream.p,
                               is_null=stream.is_null)
-        sliced = metrics.summarize_log(log, cfg, upto=700)
+        # a summary of the log's first 700 rows is the summary at step 700
+        sliced = metrics.summarize_log(head(log, 700), cfg)
         assert sliced["T"] == 700
         assert sliced["R"] == int(log.rejected[:700].sum())
         rerun = metrics.run_log(make_controller(cfg), stream.p[:700],
                                 is_null=stream.is_null[:700])
         direct = metrics.summarize_log(rerun, cfg)
         assert sliced["fdp_delta"] == pytest.approx(direct["fdp_delta"], rel=1e-12)
-        with pytest.raises(ValueError):
-            metrics.summarize_log(log, cfg, upto=5000)
 
     def test_unlabeled_summary_has_null_fields(self):
         cfg = method_config("lord", horizon=100_000)

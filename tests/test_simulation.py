@@ -180,6 +180,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown method"):
             SweepConfig(methods=("lord", "mystery"))
 
+    @pytest.mark.parametrize("setting, name", [
+        ({"length": 0}, "length"), ({"pi1_grid": (0.1, math.nan)}, "pi1"),
+        ({"pi1_grid": (1.5,)}, "pi1"), ({"alpha": math.nan}, "alpha"),
+        ({"alpha": 0.0}, "alpha"), ({"delta": math.inf}, "delta"),
+        ({"delta": 0.0}, "delta"), ({"eta": math.nan}, "eta"),
+        ({"eta": -1.0}, "eta")])
+    def test_grid_settings_checked_up_front(self, setting, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            SweepConfig(**setting)
+
     def test_aggregate_mean_of_raw(self):
         cfg = SweepConfig(methods=("saffron-decay",), pi1_grid=(0.3,),
                           length=300, reps=4, seed_base=1)
