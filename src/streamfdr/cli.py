@@ -23,7 +23,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -85,79 +85,24 @@ def write_manifest(path, command: str, resolved: dict, inputs: dict,
     })
 
 
-def _bad_row(cells, columns, gap="indices must be gapless from 1") -> str:
-    """What is wrong with a row that failed to parse; ``columns`` holds the
-    (name, index, parser) of each cell the reader parses, and ``gap`` says
-    what is wrong when each cell parses."""
-    width = max(i for _, i, _ in columns) + 1
-    if len(cells) < width:
-        return f"expected {width} columns, got {len(cells)}"
-    for name, i, parse in columns:
-        try:
-            parse(cells[i])
-        except (ValueError, OverflowError):
-            return f"cannot read {name} from {cells[i]!r}"
-    return gap
-
-
 def read_stream_csv(path):
     """Read a (t,p[,label]) CSV; label is 1 for anomalous rows.
 
-    A malformed row raises ValueError naming it (row 1 is the first data row).
+    ``t`` counts 1, 2, 3, ... and ``p`` lies in [0, 1].  ``csvio.read_table``
+    holds the rules for ``t`` and labels; a malformed row raises ValueError
+    naming it (row 1 is the first data row).
     """
     with open(path, newline="") as fh:
         header = csvio.read_header(fh)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
         if header[:2] != ["t", "p"]:
             raise ValueError(f"{path}: expected columns t,p[,label]")
-        has_label = "label" in header
-        label_idx = header.index("label") if has_label else None
-        width = len(header)
-
-        def fast(cells, first):
-            t = csvio.parse_column(cells, width, 0, int)
-            if not np.array_equal(t, np.arange(first, first + t.size)):
-                raise ValueError("indices must be gapless")
-            columns = [csvio.parse_column(cells, width, 1, float)]
-            if has_label:
-                columns.append(csvio.parse_column(cells, width, label_idx,
-                                                  float))
-            return columns
-
-        def slow(rows, first, _parts):
-            ps, labels = [], []
-            try:
-                for rowno, cells in enumerate(rows, start=first):
-                    if int(cells[0]) != rowno:
-                        raise ValueError
-                    ps.append(float(cells[1]))
-                    if has_label:
-                        labels.append(float(cells[label_idx]))
-            except UnicodeDecodeError:   # not text: no row to blame
-                raise
-            except (IndexError, ValueError):
-                columns = [("t", 0, int), ("p", 1, float)]
-                if has_label:
-                    columns.append(("label", label_idx, float))
-                problem = _bad_row(cells, columns)
-                raise ValueError(f"{path}: row {rowno}: {problem}") from None
-            columns = [np.asarray(ps, dtype=np.float64)]
-            if has_label:
-                columns.append(np.asarray(labels, dtype=np.float64))
-            return columns
-
-        p, *label = csvio.read_columns(fh, width, fast, slow)
+        columns = [("t", 0, int), ("p", 1, float)]
+        if "label" in header:
+            columns.append(("label", header.index("label"), csvio.label))
+        p, *label = csvio.read_table(fh, len(header), columns, 1,
+                                     "indices must be gapless from 1")
     _check_p(path, p)
-    if not has_label:
-        return p, None
-    label, = label
-    bad = np.flatnonzero(~np.isfinite(label))
-    if bad.size:
-        raise ValueError(f"{path}: row {bad[0] + 1}: label must be finite, "
-                         f"got {float(label[bad[0]])!r}")
-    # a label counts as anomalous when its integer part is nonzero
-    return p, np.trunc(label) == 0.0
+    return p, ~label[0] if label else None
 
 
 def _check_p(path, p):
@@ -171,80 +116,25 @@ def _check_p(path, p):
 def read_decisions_csv(path) -> metrics.DecisionLog:
     """Read a (t,p,alpha,reject[,label]) decision log.
 
-    ``t`` must count up by 1 from the first row, whose ``t`` may exceed 1
-    (a resumed log starts after its snapshot), and ``p`` must lie in [0, 1].
-    A malformed row raises ValueError naming it (row 1 is the first data row).
+    ``t`` counts up by 1 from the first row's, which may exceed 1 (a resumed
+    log starts after its snapshot), and ``p`` lies in [0, 1].  The rules for
+    ``t``, ``reject`` and labels are ``csvio.read_table``'s; a malformed row
+    raises ValueError naming it (row 1 is the first data row).
     """
     with open(path, newline="") as fh:
         header = csvio.read_header(fh)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
         for col in ("t", "p", "alpha", "reject"):
             if col not in header:
                 raise ValueError(f"{path}: missing column {col!r}")
-        has_label = "label" in header
-        it, ip, ia, ir = (header.index(c)
-                          for c in ("t", "p", "alpha", "reject"))
-        il = header.index("label") if has_label else None
-        width = len(header)
-        gap = "t must count up by 1 from a first t of 1 or more"
-        skew = 0    # t minus the row number, fixed by the first row
-
-        def fast(cells, first):
-            nonlocal skew
-            t = csvio.parse_column(cells, width, it, int)
-            if first == 1:
-                skew = int(t[0]) - 1
-            if skew < 0 or not np.array_equal(
-                    t, np.arange(first + skew, first + skew + t.size)):
-                raise ValueError("t does not count up by 1")
-            columns = [csvio.parse_column(cells, width, ip, float),
-                       csvio.parse_column(cells, width, ia, float),
-                       csvio.parse_column(cells, width, ir, int) != 0]
-            if has_label:
-                label = csvio.parse_column(cells, width, il, float)
-                if not np.isfinite(label).all():
-                    raise ValueError("a label has no integer part")
-                columns.append(np.trunc(label) != 0.0)
-            return columns
-
-        def slow(rows, first, _parts):
-            nonlocal skew
-            ps, alphas, rejects, labels = [], [], [], []
-            try:
-                for rowno, cells in enumerate(rows, start=first):
-                    t = int(cells[it])
-                    if rowno == 1:
-                        skew = t - 1
-                    if skew < 0 or t != rowno + skew:
-                        raise ValueError
-                    ps.append(float(cells[ip]))
-                    alphas.append(float(cells[ia]))
-                    rejects.append(bool(int(cells[ir])))
-                    if has_label:
-                        labels.append(bool(int(float(cells[il]))))
-            except UnicodeDecodeError:   # not text: no row to blame
-                raise
-            except (IndexError, ValueError, OverflowError):
-                columns = [("t", it, int), ("p", ip, float),
-                           ("alpha", ia, float), ("reject", ir, int)]
-                if has_label:
-                    columns.append(("label", il,
-                                    lambda cell: int(float(cell))))
-                problem = _bad_row(cells, columns, gap)
-                raise ValueError(f"{path}: row {rowno}: {problem}") from None
-            columns = [np.asarray(ps, dtype=np.float64),
-                       np.asarray(alphas, dtype=np.float64),
-                       np.asarray(rejects, dtype=bool)]
-            if has_label:
-                columns.append(np.asarray(labels, dtype=bool))
-            return columns
-
-        p, alpha, rejected, *label = csvio.read_columns(fh, width, fast, slow)
+        columns = [(name, header.index(name), parse) for name, parse in (
+            ("t", int), ("p", float), ("alpha", float), ("reject", csvio.flag),
+            ("label", csvio.label)) if name in header]
+        p, alpha, rejected, *label = csvio.read_table(
+            fh, len(header), columns, None,
+            "t must count up by 1 from a first t of 1 or more")
     _check_p(path, p)
-    return metrics.DecisionLog(
-        p=p, alpha=alpha, rejected=rejected,
-        is_null=~label[0] if has_label else None)
+    return metrics.DecisionLog(p=p, alpha=alpha, rejected=rejected,
+                               is_null=~label[0] if label else None)
 
 
 def _outpath(args, name: str) -> str:
@@ -506,12 +396,14 @@ def _run_sweep(resolved: dict, args) -> int:
         print(f"wrote {raw_path} ({len(result.raw)} rows) and {agg_path} "
               f"({len(result.aggregate)} rows)")
     elif kind == "burst":
-        stream = simulation.generate_burst_stream(_burst_config(resolved))
+        burst = _burst_config(resolved)
+        # every rule is checked before the stream is drawn or a log written
+        configs = [simulation.method_config(
+            method, alpha=resolved["alpha"], delta=resolved["delta"],
+            eta=resolved["eta"]) for method in resolved["methods"]]
+        stream = simulation.generate_burst_stream(burst)
         log_configs = {}
-        for method in resolved["methods"]:
-            config = simulation.method_config(
-                method, alpha=resolved["alpha"], delta=resolved["delta"],
-                eta=resolved["eta"])
+        for method, config in zip(resolved["methods"], configs):
             log = metrics.run_log(controllers.make_controller(config),
                                   stream.p, is_null=stream.is_null)
             path = _outpath(args, f"{prefix}.{method}.csv")

@@ -16,6 +16,11 @@ handles quoting, CRLF line ends, extra trailing cells and forward fill, and
 it names the first bad row by its file-wide number.  Apart from the parsed
 columns, memory is bounded by one chunk.
 
+``read_table`` is the one fast parser and row loop of the t-indexed tables
+(``detect``'s p-value streams, ``verify``'s decision logs): it holds their
+rules for ``t``, ``reject`` (``flag``) and labels (``label``) and names a
+bad row.  ``forecaster.ingest_csv`` keeps its own, but reads ``label``.
+
 Writing.  ``write_columns`` writes the header with ``csv.writer`` and the
 body ``CHUNK_ROWS`` rows at a time: each column's slice is formatted by
 ``cells`` and the chunk is built with ``",".join`` and ``"\\n".join``.  Numeric
@@ -39,18 +44,39 @@ _QUOTED = (",", '"', "\n", "\r")
 
 
 def read_header(fh):
-    """The stripped header cells of ``fh``, or None for an empty file."""
+    """The stripped header cells of ``fh``; ValueError if it has none."""
     try:
         header = next(csv.reader(fh), None)
     except csv.Error as exc:
         raise ValueError(f"{fh.name}: header: {exc}") from None
-    return None if header is None else [h.strip() for h in header]
+    if header is None:
+        raise ValueError(f"{fh.name}: empty file")
+    return [h.strip() for h in header]
+
+
+def flag(cell) -> bool:
+    """A 0/1 cell such as ``reject``: an integer, true when nonzero."""
+    return int(cell) != 0
+
+
+def label(cell) -> bool:
+    """A label cell: a finite number, anomalous when its integer part is
+    nonzero (``inf`` and ``nan`` have none)."""
+    return int(float(cell)) != 0
 
 
 def parse_column(cells, width, index, kind):
     """Column ``index`` of a plain chunk's cells (row-major, ``width`` to a
-    row), parsed by ``kind`` (``int`` or ``float``) into an int64 or float64
-    array; raises ValueError or OverflowError on a cell that does not fit."""
+    row), parsed by the cell parser ``kind``: ``int`` or ``float`` into an
+    int64 or float64 array, ``flag`` or ``label`` into a bool array; raises
+    ValueError or OverflowError on a cell that ``kind`` refuses."""
+    if kind is flag:
+        return parse_column(cells, width, index, int) != 0
+    if kind is label:
+        values = parse_column(cells, width, index, float)
+        if not np.isfinite(values).all():
+            raise ValueError("a label has no integer part")
+        return np.trunc(values) != 0.0
     dtype = np.int64 if kind is int else np.float64
     return np.fromiter(map(kind, cells[index::width]), dtype=dtype,
                        count=len(cells) // width)
@@ -69,22 +95,6 @@ def _plain_cells(lines, width):
     cells = text.replace("\n", ",").split(",")
     cells.pop()                        # after the final line end
     return cells
-
-
-class _Counted:
-    """Iterate ``rows``, counting the rows handed out."""
-
-    def __init__(self, rows):
-        self.rows = rows
-        self.count = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        row = next(self.rows)
-        self.count += 1
-        return row
 
 
 def _raising(exc):
@@ -126,13 +136,91 @@ def read_columns(fh, width, fast, slow):
                 else:
                     first += len(lines)
                     continue
-        rows = _Counted(csv.reader(itertools.chain(lines, rest)))
+        handed = 0    # rows handed to the row loop
+
+        def counted(rows):
+            nonlocal handed
+            for row in rows:
+                handed += 1
+                yield row
+
         try:
-            tail = slow(rows, first, parts)
+            tail = slow(counted(csv.reader(itertools.chain(lines, rest))),
+                        first, parts)
         except csv.Error as exc:   # e.g. a quote left open to the end
             raise ValueError(
-                f"{fh.name}: row {first + rows.count}: {exc}") from None
+                f"{fh.name}: row {first + handed}: {exc}") from None
         return [np.concatenate(column) for column in zip(*parts, tail)]
+
+
+# ---------------------------------------------------------------------------
+# t-indexed tables
+# ---------------------------------------------------------------------------
+
+def _bad_row(cells, columns, gap) -> str:
+    """What is wrong with a row that failed to parse; ``columns`` holds the
+    (name, index, parser) of each cell the reader parses, and ``gap`` says
+    what is wrong when each cell parses."""
+    width = max(i for _, i, _ in columns) + 1
+    if len(cells) < width:
+        return f"expected {width} columns, got {len(cells)}"
+    for name, i, parse in columns:
+        try:
+            parse(cells[i])
+        except (ValueError, OverflowError):
+            return f"cannot read {name} from {cells[i]!r}"
+    return gap
+
+
+_DTYPES = {int: np.int64, float: np.float64}   # flag and label: bool
+
+
+def read_table(fh, width, columns, t_from, gap):
+    """The body of a t-indexed table (``fh`` after its header, ``width``
+    cells to a row) as one array per column after ``t``.
+
+    ``columns`` lists (name, index, parser), ``t`` first; a parser is
+    ``int``, ``float``, ``flag`` or ``label``.  ``t`` counts up by 1 from
+    ``t_from`` or, when that is None, from row 1's ``t``, which must be 1
+    or more.  A bad row raises ValueError naming it and its fault, which
+    is ``gap`` when only ``t`` is out of step.
+    """
+    (_, it, _), *rest = columns
+    first_t = t_from
+
+    def fast(cells, first):
+        nonlocal first_t
+        t = parse_column(cells, width, it, int)
+        if t_from is None and first == 1:
+            first_t = int(t[0])
+        start = first_t + first - 1
+        if first_t < 1 or not np.array_equal(
+                t, np.arange(start, start + t.size)):
+            raise ValueError("t does not count up by 1")
+        return [parse_column(cells, width, i, parse)
+                for _, i, parse in rest]
+
+    def slow(rows, first, _parts):
+        nonlocal first_t
+        parsed = [[] for _ in rest]
+        try:
+            for rowno, cells in enumerate(rows, start=first):
+                t = int(cells[it])
+                if t_from is None and rowno == 1:
+                    first_t = t
+                if first_t < 1 or t != first_t + rowno - 1:
+                    raise ValueError
+                for out, (_, i, parse) in zip(parsed, rest):
+                    out.append(parse(cells[i]))
+        except UnicodeDecodeError:   # not text: no row to blame
+            raise
+        except (IndexError, ValueError, OverflowError):
+            raise ValueError(f"{fh.name}: row {rowno}: "
+                             f"{_bad_row(cells, columns, gap)}") from None
+        return [np.asarray(out, dtype=_DTYPES.get(parse, bool))
+                for out, (_, _, parse) in zip(parsed, rest)]
+
+    return read_columns(fh, width, fast, slow)
 
 
 # ---------------------------------------------------------------------------

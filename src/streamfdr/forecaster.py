@@ -67,8 +67,6 @@ def ingest_csv(path, value_columns: Optional[Sequence[str]] = None,
     """
     with open(path, newline="") as fh:
         header = csvio.read_header(fh)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
         if value_columns is None:
             value_columns = [h for h in header if h != label_column]
         missing = [c for c in value_columns if c not in header]
@@ -88,10 +86,8 @@ def ingest_csv(path, value_columns: Optional[Sequence[str]] = None,
                 raise ValueError("a value is not finite")
             if label_idx is None:
                 return (values,)
-            label = csvio.parse_column(cells, width, label_idx, float)
-            if not np.isfinite(label).all():
-                raise ValueError("a label has no integer part")
-            return values, np.trunc(label) != 0.0
+            return values, csvio.parse_column(cells, width, label_idx,
+                                              csvio.label)
 
         def slow(reader, first, parts):
             prev = parts[-1][0][-1].tolist() if parts else None
@@ -132,7 +128,7 @@ def ingest_csv(path, value_columns: Optional[Sequence[str]] = None,
                 if label_idx is not None:
                     text = cells[label_idx].strip()
                     try:
-                        labels.append(bool(int(float(text))))
+                        labels.append(csvio.label(text))
                     except (ValueError, OverflowError):   # inf has no int
                         raise ValueError(f"{path}: row {rowno}: bad label "
                                          f"{text!r}") from None

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,9 +51,23 @@ def to_pvalue(z, sidedness: str = "two"):
     return float(p) if p.ndim == 0 else p
 
 
-def _check_effect(effect: float):
+def _check_mixture(alternative: str, effect: float, sidedness: str):
+    """The checks of the anomalous component that both generators share."""
+    if alternative not in ALTERNATIVES:
+        raise ValueError(f"alternative must be one of {ALTERNATIVES}")
     if not math.isfinite(effect):
         raise ValueError(f"effect must be finite, got {effect!r}")
+    if alternative == "scale" and effect <= 0.0:
+        raise ValueError("scale-shift effect must be positive")
+    if sidedness not in SIDEDNESS:
+        raise ValueError(f"sidedness must be one of {SIDEDNESS}")
+
+
+def _mixture(base, is_alt, alternative: str, effect: float):
+    """``base`` shifted (mean) or scaled (scale) by ``effect`` at is_alt."""
+    if alternative == "mean":
+        return base + effect * is_alt
+    return base * np.where(is_alt, effect, 1.0)
 
 
 @dataclass
@@ -71,13 +85,7 @@ class GeneratorConfig:
             raise ValueError("length must be positive")
         if not 0.0 <= self.pi1 <= 1.0:
             raise ValueError("pi1 must lie in [0, 1]")
-        if self.alternative not in ALTERNATIVES:
-            raise ValueError(f"alternative must be one of {ALTERNATIVES}")
-        _check_effect(self.effect)
-        if self.alternative == "scale" and self.effect <= 0.0:
-            raise ValueError("scale-shift effect must be positive")
-        if self.sidedness not in SIDEDNESS:
-            raise ValueError(f"sidedness must be one of {SIDEDNESS}")
+        _check_mixture(self.alternative, self.effect, self.sidedness)
         if self.ma_lag < 0:
             raise ValueError("ma_lag must be nonnegative")
 
@@ -111,12 +119,8 @@ def generate_stream(config: GeneratorConfig) -> Stream:
     rng = np.random.default_rng(config.seed)
     is_alt = rng.random(config.length) < config.pi1
     base = _ma_background(rng, config.length, config.ma_lag)
-    if config.alternative == "mean":
-        z = base + config.effect * is_alt
-    else:
-        z = base * np.where(is_alt, config.effect, 1.0)
-    p = to_pvalue(z, config.sidedness)
-    return Stream(z=z, p=p, is_null=~is_alt)
+    z = _mixture(base, is_alt, config.alternative, config.effect)
+    return Stream(z=z, p=to_pvalue(z, config.sidedness), is_null=~is_alt)
 
 
 @dataclass
@@ -143,7 +147,7 @@ class BurstConfig:
             raise ValueError("burst_anomalies must fit inside the burst")
         if self.gap < 0:
             raise ValueError("gap must be nonnegative")
-        _check_effect(self.effect)
+        _check_mixture(self.alternative, self.effect, self.sidedness)
 
     @property
     def length(self) -> int:
@@ -164,11 +168,8 @@ def generate_burst_stream(config: BurstConfig) -> Stream:
         positions = np.arange(0, config.burst_length, step)[:config.burst_anomalies]
         is_alt[positions] = True
         is_alt[config.burst_length + config.gap + positions] = True
-    base = rng.standard_normal(n)
-    if config.alternative == "mean":
-        z = base + config.effect * is_alt
-    else:
-        z = base * np.where(is_alt, config.effect, 1.0)
+    z = _mixture(rng.standard_normal(n), is_alt, config.alternative,
+                 config.effect)
     return Stream(z=z, p=to_pvalue(z, config.sidedness), is_null=~is_alt)
 
 
@@ -229,6 +230,13 @@ class SweepConfig:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
         if not (math.isfinite(self.eta) and self.eta > 0.0):
             raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
+        self.method_configs()   # and each rule's own checks
+
+    def method_configs(self) -> list:
+        """The ControllerConfig of each method, in order."""
+        return [method_config(method, alpha=self.alpha, delta=self.delta,
+                              eta=self.eta, lag=self.lag)
+                for method in self.methods]
 
 
 @dataclass
@@ -250,9 +258,7 @@ def _sweep_cell(cfg: SweepConfig, pi1: float, rep: int) -> list:
         effect=cfg.effect, sidedness=cfg.sidedness, seed=seed,
         ma_lag=cfg.ma_lag))
     rows = []
-    for method in cfg.methods:
-        config = method_config(method, alpha=cfg.alpha, delta=cfg.delta,
-                               eta=cfg.eta, lag=cfg.lag)
+    for method, config in zip(cfg.methods, cfg.method_configs()):
         row = _summarize(config, stream, cfg.delta, cfg.eta)
         row.update({"method": method, "pi1": pi1, "seed": seed})
         rows.append(row)
@@ -385,17 +391,25 @@ class FrontierConfig:
     def __post_init__(self):
         self.alpha_grid = tuple(float(a) for a in self.alpha_grid)
         self.threshold_grid = tuple(float(c) for c in self.threshold_grid)
+        if self.reps < 1:
+            raise ValueError("reps must be positive")
+        if self.workers < 1:
+            raise ValueError("workers must be positive")
+        self.configs()   # a bad rule setting fails before any stream is drawn
+
+    def configs(self) -> list:
+        """The decay rule at each alpha, then the fixed thresholds."""
+        return ([method_config(self.method, alpha=alpha, delta=self.delta,
+                               eta=self.eta) for alpha in self.alpha_grid]
+                + [ControllerConfig(rule="fixed", alpha=c)
+                   for c in self.threshold_grid])
 
 
 def _frontier_task(args):
     cfg, rep = args
     stream = generate_burst_stream(replace(cfg.burst, seed=cfg.burst.seed + rep))
-    configs = [method_config(cfg.method, alpha=alpha, delta=cfg.delta,
-                             eta=cfg.eta) for alpha in cfg.alpha_grid]
-    configs += [ControllerConfig(rule="fixed", alpha=c)
-                for c in cfg.threshold_grid]
     rows = []
-    for config in configs:
+    for config in cfg.configs():
         row = _summarize(config, stream, cfg.delta, cfg.eta)
         rows.append({"kind": config.rule, "param": config.alpha, "seed": rep,
                      "fdp": row["fdp"], "power": row["power"]})

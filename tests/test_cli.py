@@ -618,6 +618,28 @@ class TestSweepAndRerun:
         assert "cell(s) failed" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("argv, config, name", [
+        (["--preset", "fig6", "--reps", "0"], None, "reps"),
+        (["--preset", "fig6", "--workers", "0"], None, "workers"),
+        (["--preset", "fig6", "--delta", "2"], None, "delta"),
+        (["--preset", "fig3", "--delta", "2"], None, "delta"),
+        ([], "preset = fig6\nreps = 0\n", "reps"),
+    ], ids=["fig6-reps-0", "fig6-workers-0", "fig6-delta-2", "fig3-delta-2",
+            "config-reps-0"])
+    def test_bad_burst_or_frontier_setting_exits_2_writing_nothing(
+            self, tmp_path, capsys, argv, config, name):
+        if config is not None:
+            cfgfile = tmp_path / "sweep.cfg"
+            cfgfile.write_text(config)
+            argv = ["--config", cfgfile]
+        out = tmp_path / "out"
+        code = run("--output-dir", out, "sweep", *argv, "--out", "bad")
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"error: {name} must" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
         assert run("simulate", "--pi1", "0.0", "--length", "50",

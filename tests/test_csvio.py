@@ -8,6 +8,7 @@ every chunk.  The writer must give the bytes of ``csv.writer``.
 
 import contextlib
 import csv
+import functools
 import io
 from unittest import mock
 
@@ -140,6 +141,46 @@ def test_series_reader_fast_equals_row_loop(tmp_path_factory, data, label,
         return forecaster.ingest_csv(
             path, label_column="label" if label else None, forward_fill=fill)
     _same_both_ways(tmp_path_factory, text, read)
+
+
+def _anomalous(value):
+    """The per-row anomaly flags that a reader returned."""
+    if isinstance(value, forecaster.SeriesFrame):
+        return value.labels.tolist()
+    is_null = value[1] if isinstance(value, tuple) else value.is_null
+    return (~is_null).tolist()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(labels=st.lists(st.sampled_from(LABEL_GOOD * 3 + LABEL_BAD),
+                       min_size=1, max_size=12))
+def test_one_label_rule_across_readers(tmp_path_factory, labels):
+    """The stream, decision-log and series readers accept the same label
+    cells, flag the same rows as anomalous, and refuse a bad cell naming
+    its row."""
+    base = tmp_path_factory.mktemp("labels")
+    rows = list(enumerate(labels, start=1))
+    tables = {
+        cli.read_stream_csv: ("t,p,label", "{t},0.5,{label}"),
+        cli.read_decisions_csv: ("t,p,alpha,reject,label",
+                                 "{t},0.5,0.1,0,{label}"),
+        functools.partial(forecaster.ingest_csv, label_column="label"): (
+            "x,label", "0.5,{label}"),
+    }
+    bad = [t for t, label in rows if label in LABEL_BAD]
+    for k, (read, (header, line)) in enumerate(tables.items()):
+        path = base / f"{k}.csv"
+        path.write_text(header + "\n" + "".join(
+            line.format(t=t, label=label) + "\n" for t, label in rows))
+        with mock.patch.object(csvio, "CHUNK_ROWS", SMALL_CHUNK):
+            if bad:
+                with pytest.raises(ValueError) as exc:
+                    read(path)
+                assert f"row {bad[0]}: " in str(exc.value)
+                assert "label" in str(exc.value)
+            else:
+                assert _anomalous(read(path)) == [
+                    int(float(label)) != 0 for label in labels]
 
 
 def _stream_text(n, bad_row=None, bad_line="x,0.5"):

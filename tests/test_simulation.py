@@ -118,6 +118,33 @@ class TestGenerator:
             BurstConfig(effect=effect)
 
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"alternative": "bogus"}, "alternative must be one of"),
+        ({"alternative": "scale", "effect": -2.0},
+         "scale-shift effect must be positive"),
+        ({"sidedness": "both"}, "sidedness must be one of"),
+    ])
+    def test_burst_mixture_checked_like_generator(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            GeneratorConfig(length=10, pi1=0.1, **kwargs)
+        with pytest.raises(ValueError, match=match):
+            BurstConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"reps": 0}, "reps must be positive"),
+        ({"workers": 0}, "workers must be positive"),
+        ({"delta": 2.0}, "delta must lie in"),
+        ({"alpha_grid": (0.1, 1.5)}, "alpha must lie in"),
+    ])
+    def test_frontier_settings_checked_up_front(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            FrontierConfig(**kwargs)
+
+    def test_sweep_rule_settings_checked_up_front(self):
+        with pytest.raises(ValueError, match="lag must be nonnegative"):
+            SweepConfig(methods=("lord-dep-decay",), lag=-1)
+
+
 class TestBurstScenario:
     def test_shape_and_determinism(self):
         cfg = BurstConfig(burst_length=1000, burst_anomalies=50, gap=10000,
