@@ -5,7 +5,8 @@ Subcommands
 simulate  generate a labeled synthetic p-value stream (CSV: t,p,label)
 score     turn a raw time-series CSV into a p-value stream (rolling scorer)
 detect    run one decision rule over a p-value CSV (CSV: t,p,alpha,reject[,label])
-sweep     run a preset or config-file experiment grid (raw + aggregate CSVs)
+sweep     run a preset: a grid (raw + aggregate CSVs), two bursts (a decision
+          log per rule) or a frontier (one CSV), on its kind's settings only
 verify    recompute oracle and surplus for a produced decision log
 rerun     re-execute any command from its manifest, byte-identically
 
@@ -23,7 +24,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import MISSING, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -60,8 +61,9 @@ def _write_csv(path, header, columns):
         csvio.write_columns(fh, header, columns)
 
 
-def _rows_to_columns(rows, names):
-    return [[row[name] for row in rows] for name in names]
+def _write_rows(path, names, rows):
+    """Write dict rows' values under ``names``."""
+    _write_csv(path, names, [[row[name] for row in rows] for name in names])
 
 
 def _write_json(path, payload):
@@ -143,11 +145,6 @@ def _outpath(args, name: str) -> str:
     return os.path.join(outdir, name)
 
 
-def _print_warnings(caught):
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-
-
 def _config_params(config: ControllerConfig) -> dict:
     """The rule settings a manifest records; ``config_from_resolved`` reads
     them back."""
@@ -157,18 +154,50 @@ def _config_params(config: ControllerConfig) -> dict:
     return params
 
 
+def _read_manifest(path) -> dict:
+    """A manifest that records its resolved settings and its outputs."""
+    with open(path) as fh:
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: not a manifest")
+    if not all(isinstance(o, dict)
+               for o in _setting(manifest, "outputs", {}).values()):
+        raise ValueError(f"{path}: manifest records an output that is not "
+                         "an object")
+    _setting(manifest, "resolved", {})
+    return manifest
+
+
+#: the types a manifest may give a value, by the type of its default
+_TYPES = {float: (int, float), type(None): (int, float, type(None)),
+          tuple: (list, tuple)}
+
+
+def _setting(record: dict, name: str, default):
+    """``record[name]`` if it has the type of ``default`` by ``_TYPES`` (a
+    list's items that of ``default[0]``), else ValueError naming it."""
+    if name not in record:
+        raise ValueError(f"manifest records no {name!r}")
+    value = record[name]
+    pairs = [(value, default)]
+    if isinstance(default, tuple) and isinstance(value, list):
+        pairs += [(item, default[0]) for item in value]
+    if any(type(v) not in _TYPES.get(type(d), (type(d),)) for v, d in pairs):
+        raise ValueError(f"manifest records {name!r} as {value!r}")
+    return value
+
+
 def config_from_resolved(resolved: dict) -> ControllerConfig:
     """Rebuild a controller config from manifest-resolved parameters."""
     from .gamma import GammaSequence
-    gamma = None
-    if resolved.get("gamma_file"):
-        gamma = GammaSequence.from_file(resolved["gamma_file"])
+    rule = _setting(resolved, "method", "")
+    params = {f.name: _setting(resolved, f.name, f.default)
+              for f in fields(ControllerConfig) if f.name not in ("rule", "gamma")}
+    gamma = (GammaSequence.from_file(resolved["gamma_file"])
+             if resolved.get("gamma_file") else None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return ControllerConfig(
-            rule=resolved["method"], gamma=gamma,
-            **{f.name: resolved[f.name] for f in fields(ControllerConfig)
-               if f.name not in ("rule", "gamma")})
+        return ControllerConfig(rule=rule, gamma=gamma, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +206,8 @@ def config_from_resolved(resolved: dict) -> ControllerConfig:
 
 def _run_simulate(resolved: dict, args) -> int:
     stream = simulation.generate_stream(simulation.GeneratorConfig(
-        **{f.name: resolved[f.name] for f in fields(simulation.GeneratorConfig)}))
+        **{f.name: _setting(resolved, f.name, f.default)
+           for f in fields(simulation.GeneratorConfig)}))
     prefix = resolved["out"]
     csv_path = _outpath(args, f"{prefix}.csv")
     _write_csv(csv_path, ["t", "p", "label"],
@@ -242,19 +272,15 @@ def _detect_resolved(args) -> dict:
     gamma = GammaSequence.from_file(args.gamma_file) if args.gamma_file else None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        config = ControllerConfig(
-            rule=args.method, alpha=args.alpha, delta=args.delta,
-            eta=args.eta, w0=args.w0, lam=args.lam, tau=args.tau,
-            lag=args.lag, gamma=gamma,
-            dependence_correction=args.dependence_correction,
-            prune_epsilon=args.prune_epsilon,
-            lag_decay_exponent=args.lag_decay_exponent)
-    _print_warnings(caught)
-    resolved = {"input": args.input, "out": args.out,
-                "resume_from": args.resume_from, "save_state": args.save_state,
-                "gamma_file": args.gamma_file}
-    resolved.update(_config_params(config))
-    return resolved
+        config = ControllerConfig(  # each flag has its field's name
+            rule=args.method, gamma=gamma, **{
+                f.name: getattr(args, f.name) for f in fields(ControllerConfig)
+                if f.name not in ("rule", "gamma", "horizon")})
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return dict(_config_params(config), input=args.input, out=args.out,
+                resume_from=args.resume_from, save_state=args.save_state,
+                gamma_file=args.gamma_file)
 
 
 def _run_detect(resolved: dict, args) -> int:
@@ -314,25 +340,22 @@ def cmd_detect(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _defaults(cls) -> dict:
-    """Field defaults of a config dataclass (fields with factories skipped)."""
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+#: the one table of sweep settings: SweepConfig's fields, defaults fig4's
+_SETTINGS = {f.name: f.default for f in fields(simulation.SweepConfig)}
+#: the settings of the burst stream and of its rules
+_BURST = ("delta", "eta", "effect", "alternative", "sidedness", "seed_base")
+#: the settings each kind of sweep runs on; it accepts and records no other
+_KIND_SETTINGS = {"grid": tuple(_SETTINGS),
+                  "burst": ("methods", "alpha", *_BURST),
+                  "frontier": ("reps", "workers", *_BURST)}
 
-
-#: the grid settings: the fields of SweepConfig, whose defaults are fig4's
-_GRID_DEFAULTS = _defaults(simulation.SweepConfig)
-#: the grid settings that burst and frontier sweeps record without a grid
-_NO_GRID = {"methods": ("saffron", "saffron-decay"), "pi1_grid": ()}
-
+#: each preset's kind, and the defaults it overrides
 PRESETS = {
-    "fig1": {
-        "kind": "grid",
-        "methods": ("lord", "saffron", "addis"),
-        "pi1_grid": (1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.3, 0.5, 0.9),
-    },
+    "fig1": {"kind": "grid", "methods": ("lord", "saffron", "addis"),
+             "pi1_grid": (1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.3, 0.5, 0.9)},
     "fig4": {"kind": "grid"},
-    "fig3": {"kind": "burst", **_NO_GRID},
-    "fig6": {"kind": "frontier", **_NO_GRID},
+    "fig3": {"kind": "burst", "methods": ("saffron", "saffron-decay")},
+    "fig6": {"kind": "frontier"},
 }
 
 
@@ -346,64 +369,56 @@ def _parse_config_file(path) -> dict:
             if "=" not in text:
                 raise ValueError(f"{path}: line {lineno}: expected key=value")
             key, value = (part.strip() for part in text.split("=", 1))
-            out[key] = value
+            out[key] = value if key == "preset" else _coerce_setting(key, value)
     return out
 
 
-def _coerce_sweep_settings(settings: dict) -> dict:
-    coerced = {}
-    for key, value in settings.items():
-        if key == "preset":
-            coerced[key] = value
-        elif key == "methods":
-            coerced[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key == "pi1_grid":
-            coerced[key] = tuple(float(v) for v in value.split(","))
-        elif key in _GRID_DEFAULTS:   # an int, float or str setting
-            coerced[key] = type(_GRID_DEFAULTS[key])(value)
-        else:
-            raise ValueError(f"unknown sweep setting {key!r}")
-    return coerced
-
-
-def _burst_config(resolved: dict):
-    return simulation.BurstConfig(
-        burst_length=resolved["burst_length"],
-        burst_anomalies=resolved["burst_anomalies"], gap=resolved["gap"],
-        effect=resolved["effect"], seed=resolved["seed_base"])
+def _coerce_setting(name: str, text: str):
+    """A config-file value as the type of the setting's default; a list is
+    comma-separated."""
+    if name not in _SETTINGS:
+        raise ValueError(f"unknown sweep setting {name!r}")
+    default = _SETTINGS[name]
+    try:
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(v.strip())
+                         for v in text.split(",") if v.strip())
+        return type(default)(text)
+    except ValueError:
+        raise ValueError(f"sweep setting {name}: cannot read {text!r}") from None
 
 
 def _run_sweep(resolved: dict, args) -> int:
-    kind = resolved["kind"]
-    prefix = resolved["out"]
-    outputs = {}
-    failed_cells = []
+    kind = resolved.get("kind")
+    if kind not in _KIND_SETTINGS:
+        raise ValueError(f"unknown sweep kind {kind!r}")
+    # a rerun reads the kind's settings and no other key of its manifest
+    settings = {name: _setting(resolved, name, _SETTINGS[name])
+                for name in _KIND_SETTINGS[kind]}
+    prefix = _setting(resolved, "out", "")
+    resolved = dict(settings, kind=kind, preset=resolved.get("preset"),
+                    out=prefix, config_file=resolved.get("config_file"))
+    cfg = simulation.SweepConfig(**settings)
+    burst = simulation.BurstConfig(effect=cfg.effect, alternative=cfg.alternative,
+                                   sidedness=cfg.sidedness, seed=cfg.seed_base)
+    outputs, failed_cells = {}, []
     if kind == "grid":
-        cfg = simulation.SweepConfig(**{k: v for k, v in resolved.items()
-                                        if k in _GRID_DEFAULTS})
         result = simulation.run_sweep(cfg)
-        for err in result.errors:
-            failed_cells.append(err)
+        failed_cells = result.errors
+        for err in failed_cells:
             print(f"error: sweep cell pi1={err['pi1']} seed={err['seed']}: "
                   f"{err['error']}", file=sys.stderr)
         raw_path = _outpath(args, f"{prefix}.raw.csv")
-        _write_csv(raw_path, simulation._RAW_COLUMNS,
-                   _rows_to_columns(result.raw, simulation._RAW_COLUMNS))
+        _write_rows(raw_path, simulation._RAW_COLUMNS, result.raw)
         agg_path = _outpath(args, f"{prefix}.agg.csv")
-        _write_csv(agg_path, simulation._AGG_COLUMNS,
-                   _rows_to_columns(result.aggregate, simulation._AGG_COLUMNS))
+        _write_rows(agg_path, simulation._AGG_COLUMNS, result.aggregate)
         outputs = {"raw": raw_path, "aggregate": agg_path}
         print(f"wrote {raw_path} ({len(result.raw)} rows) and {agg_path} "
               f"({len(result.aggregate)} rows)")
     elif kind == "burst":
-        burst = _burst_config(resolved)
-        # every rule is checked before the stream is drawn or a log written
-        configs = [simulation.method_config(
-            method, alpha=resolved["alpha"], delta=resolved["delta"],
-            eta=resolved["eta"]) for method in resolved["methods"]]
         stream = simulation.generate_burst_stream(burst)
-        log_configs = {}
-        for method, config in zip(resolved["methods"], configs):
+        resolved["logs"] = {}
+        for method, config in zip(cfg.methods, cfg.method_configs()):
             log = metrics.run_log(controllers.make_controller(config),
                                   stream.p, is_null=stream.is_null)
             path = _outpath(args, f"{prefix}.{method}.csv")
@@ -411,31 +426,18 @@ def _run_sweep(resolved: dict, args) -> int:
                        [np.arange(1, len(log) + 1), stream.p, log.alpha,
                         log.rejected, ~stream.is_null])
             outputs[method] = path
-            params = _config_params(config)
-            params.update({"input": None, "out": None,
-                           "resume_from": None, "save_state": None})
-            log_configs[os.path.basename(path)] = params
+            resolved["logs"][os.path.basename(path)] = _config_params(config)
             print(f"wrote {path} ({int(log.rejected.sum())} rejections)")
-        resolved = dict(resolved, logs=log_configs)
-    elif kind == "frontier":
-        cfg = simulation.FrontierConfig(
-            burst=_burst_config(resolved), method=resolved["frontier_method"],
-            alpha_grid=resolved["alpha_grid"],
-            threshold_grid=resolved["threshold_grid"],
-            delta=resolved["delta"], eta=resolved["eta"],
-            reps=resolved["reps"], workers=resolved["workers"])
-        result = simulation.fixed_threshold_frontier(cfg)
+    else:
+        result = simulation.fixed_threshold_frontier(simulation.FrontierConfig(
+            burst=burst, delta=cfg.delta, eta=cfg.eta, reps=cfg.reps,
+            workers=cfg.workers))
         path = _outpath(args, f"{prefix}.frontier.csv")
-        cols = list(result.aggregate[0].keys())
-        _write_csv(path, cols, _rows_to_columns(result.aggregate, cols))
+        _write_rows(path, list(result.aggregate[0]), result.aggregate)
         outputs = {"frontier": path}
         print(f"wrote {path} ({len(result.aggregate)} rows)")
-    else:
-        raise ValueError(f"unknown sweep kind {kind!r}")
     manifest = _outpath(args, f"{prefix}.manifest.json")
-    inputs = {}
-    if resolved.get("config_file"):
-        inputs["config"] = resolved["config_file"]
+    inputs = {"config": resolved["config_file"]} if resolved["config_file"] else {}
     write_manifest(manifest, "sweep", resolved, inputs, outputs)
     if failed_cells:
         print(f"error: {len(failed_cells)} sweep cell(s) failed",
@@ -445,34 +447,26 @@ def _run_sweep(resolved: dict, args) -> int:
 
 
 def _sweep_resolved(args) -> dict:
-    settings = {}
-    if args.config:
-        settings.update(_coerce_sweep_settings(_parse_config_file(args.config)))
-    preset_name = args.preset or settings.pop("preset", None)
-    if preset_name is None:
+    settings = _parse_config_file(args.config) if args.config else {}
+    preset = args.preset or settings.get("preset")   # the flag wins
+    settings.pop("preset", None)
+    if preset is None:
         raise ValueError("sweep needs --preset or a config file naming one")
-    if preset_name not in PRESETS:
-        raise ValueError(f"unknown preset {preset_name!r}; "
+    if preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r}; "
                          f"choose from {', '.join(sorted(PRESETS))}")
-    burst = _defaults(simulation.BurstConfig)
-    frontier = _defaults(simulation.FrontierConfig)
-    resolved = dict(
-        _GRID_DEFAULTS, preset=preset_name,
-        burst_length=burst["burst_length"],
-        burst_anomalies=burst["burst_anomalies"], gap=burst["gap"],
-        frontier_method=frontier["method"],
-        alpha_grid=frontier["alpha_grid"],
-        threshold_grid=frontier["threshold_grid"],
-        config_file=args.config, out=args.out)
-    resolved.update(PRESETS[preset_name])
-    resolved.update(settings)
-    for flag in ("reps", "length", "workers", "alpha", "delta"):
-        value = getattr(args, flag)
-        if value is not None:
-            resolved[flag] = value
-    if args.seed is not None:
-        resolved["seed_base"] = args.seed
-    return resolved
+    flags = {"reps": args.reps, "length": args.length, "workers": args.workers,
+             "seed_base": args.seed, "alpha": args.alpha, "delta": args.delta}
+    settings.update((k, v) for k, v in flags.items() if v is not None)
+    kind = PRESETS[preset]["kind"]
+    for name in settings:
+        if name not in _KIND_SETTINGS[kind]:
+            raise ValueError(
+                f"preset {preset} (a {kind} sweep) does not use {name}")
+    defaults = {name: PRESETS[preset].get(name, _SETTINGS[name])
+                for name in _KIND_SETTINGS[kind]}
+    return dict(defaults, **settings, kind=kind, preset=preset, out=args.out,
+                config_file=args.config)
 
 
 def cmd_sweep(args) -> int:
@@ -485,30 +479,26 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     metrics.check_verify_options(args.tol, args.method)
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
+    manifest = _read_manifest(args.manifest)
+    resolved, outputs = manifest["resolved"], manifest["outputs"]
     basename = os.path.basename(args.input)
     if manifest.get("command") == "detect":
-        recorded = manifest["outputs"].get("decisions", {})
-        resolved = manifest["resolved"]
-    elif manifest.get("command") == "sweep" and "logs" in manifest.get("resolved", {}):
-        by_name = manifest["resolved"]["logs"]
-        if basename not in by_name:
+        recorded = outputs.get("decisions", {})
+    elif (manifest.get("command") == "sweep"
+          and isinstance(resolved.get("logs"), dict)):
+        resolved = resolved["logs"].get(basename)
+        if not isinstance(resolved, dict):
             raise ValueError(
                 f"manifest does not describe a decision log named {basename!r}")
-        resolved = by_name[basename]
-        recorded = {"file": basename,
-                    "sha256": next((o["sha256"] for o in
-                                    manifest["outputs"].values()
-                                    if o["file"] == basename), None)}
+        recorded = next((o for o in outputs.values()
+                         if o.get("file") == basename), {"file": basename})
     else:
         raise ValueError("manifest does not describe a decision log")
     if recorded.get("file") != basename:
         raise ValueError(
             f"manifest mismatch: it records {recorded.get('file')!r}, "
             f"not {basename!r}")
-    actual = _sha256(args.input)
-    if not args.allow_modified and recorded.get("sha256") != actual:
+    if not args.allow_modified and recorded.get("sha256") != _sha256(args.input):
         raise ValueError(
             "manifest mismatch: decision log digest differs from the "
             "manifest record (pass --allow-modified to verify anyway)")
@@ -533,10 +523,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_rerun(args) -> int:
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
-    command = manifest.get("command")
-    resolved = manifest.get("resolved", {})
+    manifest = _read_manifest(args.manifest)
+    command, resolved = manifest.get("command"), manifest["resolved"]
     runners = {"simulate": _run_simulate, "score": _run_score,
                "detect": _run_detect, "sweep": _run_sweep}
     if command not in runners:

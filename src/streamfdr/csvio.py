@@ -157,6 +157,14 @@ def read_columns(fh, width, fast, slow):
 # t-indexed tables
 # ---------------------------------------------------------------------------
 
+def quote(cell: str) -> str:
+    """``repr(cell)`` for an error message, cut after 40 characters: a cell
+    opened by a quote runs to the end of the file."""
+    if len(cell) <= 40:
+        return repr(cell)
+    return f"{cell[:40]!r}... ({len(cell)} characters)"
+
+
 def _bad_row(cells, columns, gap) -> str:
     """What is wrong with a row that failed to parse; ``columns`` holds the
     (name, index, parser) of each cell the reader parses, and ``gap`` says
@@ -168,7 +176,7 @@ def _bad_row(cells, columns, gap) -> str:
         try:
             parse(cells[i])
         except (ValueError, OverflowError):
-            return f"cannot read {name} from {cells[i]!r}"
+            return f"cannot read {name} from {quote(cells[i])}"
     return gap
 
 

@@ -113,8 +113,8 @@ def ingest_csv(path, value_columns: Optional[Sequence[str]] = None,
                         value = float(text)
                     except ValueError:
                         raise ValueError(
-                            f"{path}: row {rowno}: bad number {text!r} in "
-                            f"column {col!r}") from None
+                            f"{path}: row {rowno}: bad number "
+                            f"{csvio.quote(text)} in column {col!r}") from None
                     if not np.isfinite(value):
                         if forward_fill and prev is not None:
                             parsed.append(prev[len(parsed)])
@@ -131,7 +131,7 @@ def ingest_csv(path, value_columns: Optional[Sequence[str]] = None,
                         labels.append(csvio.label(text))
                     except (ValueError, OverflowError):   # inf has no int
                         raise ValueError(f"{path}: row {rowno}: bad label "
-                                         f"{text!r}") from None
+                                         f"{csvio.quote(text)}") from None
             values = np.asarray(rows, dtype=np.float64).reshape(
                 len(rows), len(value_columns))
             if label_idx is None:

@@ -84,7 +84,7 @@ class GeneratorConfig:
         if self.length < 1:
             raise ValueError("length must be positive")
         if not 0.0 <= self.pi1 <= 1.0:
-            raise ValueError("pi1 must lie in [0, 1]")
+            raise ValueError(f"pi1 must lie in [0, 1], got {self.pi1!r}")
         _check_mixture(self.alternative, self.effect, self.sidedness)
         if self.ma_lag < 0:
             raise ValueError("ma_lag must be nonnegative")
@@ -211,6 +211,9 @@ class SweepConfig:
     def __post_init__(self):
         self.methods = tuple(self.methods)
         self.pi1_grid = tuple(float(x) for x in self.pi1_grid)
+        for name in ("methods", "pi1_grid"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         for m in self.methods:
             if m not in controllers.RULES:
                 raise ValueError(f"unknown method {m!r}")
@@ -219,11 +222,8 @@ class SweepConfig:
         if self.workers < 1:
             raise ValueError("workers must be positive")
         # checked here, so that a bad setting fails before any cell runs
-        if self.length < 1:
-            raise ValueError("length must be positive")
         for pi1 in self.pi1_grid:
-            if not 0.0 <= pi1 <= 1.0:
-                raise ValueError(f"pi1 must lie in [0, 1], got {pi1!r}")
+            self.stream_config(pi1, self.seed_base)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not 0.0 < self.delta <= 1.0:
@@ -231,6 +231,13 @@ class SweepConfig:
         if not (math.isfinite(self.eta) and self.eta > 0.0):
             raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
         self.method_configs()   # and each rule's own checks
+
+    def stream_config(self, pi1: float, seed: int) -> GeneratorConfig:
+        """The stream of the cell at ``pi1`` drawn with ``seed``."""
+        return GeneratorConfig(
+            length=self.length, pi1=pi1, alternative=self.alternative,
+            effect=self.effect, sidedness=self.sidedness, seed=seed,
+            ma_lag=self.ma_lag)
 
     def method_configs(self) -> list:
         """The ControllerConfig of each method, in order."""
@@ -253,10 +260,7 @@ _RAW_COLUMNS = ("method", "alpha_target", "delta", "eta", "pi1", "seed", "T",
 
 def _sweep_cell(cfg: SweepConfig, pi1: float, rep: int) -> list:
     seed = cfg.seed_base + rep
-    stream = generate_stream(GeneratorConfig(
-        length=cfg.length, pi1=pi1, alternative=cfg.alternative,
-        effect=cfg.effect, sidedness=cfg.sidedness, seed=seed,
-        ma_lag=cfg.ma_lag))
+    stream = generate_stream(cfg.stream_config(pi1, seed))
     rows = []
     for method, config in zip(cfg.methods, cfg.method_configs()):
         row = _summarize(config, stream, cfg.delta, cfg.eta)
@@ -385,7 +389,6 @@ class FrontierConfig:
     delta: float = 0.99
     eta: float = 1.0
     reps: int = 20
-    seed_base: int = 0
     workers: int = 1
 
     def __post_init__(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import streamfdr
-from streamfdr import cli
+from streamfdr import cli, simulation
 
 
 def digest(path):
@@ -302,6 +302,35 @@ class TestVerify:
         assert "eta must be finite" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("command", ["verify", "rerun"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda resolved: resolved.pop("eta"), "manifest records no 'eta'"),
+        (lambda resolved: resolved.update(eta="x"),
+         "manifest records 'eta' as 'x'"),
+    ], ids=["eta-missing", "eta-text"])
+    def test_malformed_manifest_setting_exits_2_naming_it(
+            self, tmp_path, capsys, command, edit, message):
+        log, manifest = self._detect(tmp_path)
+        record = json.loads(manifest.read_text())
+        edit(record["resolved"])
+        manifest.write_text(json.dumps(record))
+        capsys.readouterr()
+        argv = (["verify", "--input", log, "--manifest", manifest]
+                if command == "verify" else ["rerun", manifest])
+        assert run("--output-dir", tmp_path / "again", *argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "PASS" not in captured.out
+        assert not (tmp_path / "again").exists()
+
+    def test_manifest_without_outputs_exits_2(self, tmp_path, capsys):
+        log, _ = self._detect(tmp_path)
+        manifest = tmp_path / "bare.json"
+        manifest.write_text('{"command": "detect"}')
+        code = run("--output-dir", tmp_path, "verify", "--input", log,
+                   "--manifest", manifest)
+        assert code == cli.EXIT_VALIDATION
+        assert "manifest records no 'outputs'" in capsys.readouterr().err
+
     def test_digest_mismatch_is_config_error(self, tmp_path, capsys):
         log, manifest = self._detect(tmp_path)
         log.write_text(log.read_text() + "\n")
@@ -475,6 +504,21 @@ class TestMalformedInput:
             return
         assert f"row {BAD_ROW}:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--method", "lord-decay"], ["score", "--columns", "p"]],
+        ids=["detect", "score"])
+    def test_cell_opened_by_a_quote_is_quoted_in_short(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # the quote opens a cell that csv.reader reads to the end of the file
+        monkeypatch.chdir(tmp_path)
+        rows = ["t,p", "1,0.5", '2,"0.5'] + [f"{t},0.5" for t in range(3, 3000)]
+        (tmp_path / "s.csv").write_text("\n".join(rows) + "\n")
+        command, *rest = argv
+        assert run(command, "--input", "s.csv", *rest) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 200
+        assert err.startswith("error: s.csv: row 2: ")
+
 
 class TestSweepAndRerun:
     def test_fig4_preset_schema(self, tmp_path):
@@ -640,11 +684,186 @@ class TestSweepAndRerun:
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("line, name", [
+        ("methods =", "methods"), ("pi1_grid =", "pi1_grid"),
+        ("reps = 2.5", "reps")], ids=["methods-empty", "pi1-empty", "reps"])
+    def test_bad_config_value_exits_2_naming_it(self, tmp_path, capsys,
+                                                 line, name):
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text(f"preset = fig4\n{line}\nlength = 100\n")
+        out = tmp_path / "out"
+        code = run("--output-dir", out, "sweep", "--config", cfgfile)
+        assert code == cli.EXIT_VALIDATION
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_preset_flag_wins_and_is_recorded(self, tmp_path):
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text("preset = fig1\n")
+        assert run("--output-dir", tmp_path, "sweep", "--preset", "fig4",
+                   "--config", cfgfile, "--reps", "1", "--length", "100",
+                   "--out", "p") == 0
+        manifest = json.loads((tmp_path / "p.manifest.json").read_text())
+        assert manifest["resolved"]["preset"] == "fig4"
+        raw = (tmp_path / "p.raw.csv").read_text().splitlines()
+        assert len(raw) == 1 + 5 * 6    # fig4's methods and grid
+
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
         assert run("simulate", "--pi1", "0.0", "--length", "50",
                    "--out", "envstream") == 0
         assert (tmp_path / "envout" / "envstream.csv").exists()
+
+
+#: the settings each kind of sweep runs on, and so accepts and records
+GRID = ("methods", "pi1_grid", "length", "reps", "alpha", "delta", "eta",
+        "lag", "alternative", "effect", "sidedness", "ma_lag", "seed_base",
+        "workers")
+KIND_SETTINGS = {
+    "grid": GRID,
+    "burst": ("methods", "alpha", "delta", "eta", "effect", "alternative",
+              "sidedness", "seed_base"),
+    "frontier": ("reps", "workers", "delta", "eta", "effect", "alternative",
+                 "sidedness", "seed_base"),
+}
+KINDS = {"fig1": "grid", "fig4": "grid", "fig3": "burst", "fig6": "frontier"}
+#: flags that keep each preset's run small
+SMALL = {"fig1": ["--reps", "1", "--length", "300"],
+         "fig4": ["--reps", "1", "--length", "300"],
+         "fig3": [], "fig6": ["--reps", "1"]}
+
+#: the resolved settings of a sweep manifest written before each kind kept
+#: only its own: 24 keys, as ``sweep --preset fig4 --reps 1 --length 300
+#: --out old`` wrote them; fig3 and fig6 runs differ in OLD_KINDS
+OLD_RESOLVED = {
+    "alpha": 0.1, "alpha_grid": [0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5],
+    "alternative": "mean", "burst_anomalies": 50, "burst_length": 1000,
+    "config_file": None, "delta": 0.99, "effect": 3.0, "eta": 1.0,
+    "frontier_method": "lord-decay", "gap": 10000, "kind": "grid", "lag": 0,
+    "length": 300, "ma_lag": 0,
+    "methods": ["lord", "saffron", "addis", "lord-decay", "saffron-decay"],
+    "out": "old", "pi1_grid": [0.0001, 0.001, 0.01, 0.1, 0.5, 0.9],
+    "preset": "fig4", "reps": 1, "seed_base": 0, "sidedness": "two",
+    "threshold_grid": [
+        3e-05, 4.3001739428012096e-05, 6.163831979448818e-05,
+        8.835183221943533e-05, 0.00012664274890291974,
+        0.0001815286162923504, 0.0002602015418843744, 0.0003729706300959613,
+        0.0005346128616562658, 0.0007663094323935538, 0.0010984212844338456,
+        0.0015744675285135523, 0.002256828079966863, 0.003234917767618525,
+        0.004636903030472607, 0.006646496528978079, 0.009527030394943395,
+        0.013655962618870214, 0.019574338205844324, 0.028057686366783276,
+        0.04021764393657667, 0.05764762149897461, 0.08263159994478568,
+        0.11844341764484692, 0.1697757660842305, 0.24335510847817346,
+        0.3488230987751339, 0.5],
+    "workers": 1,
+}
+OLD_KINDS = {
+    "fig4": {},
+    "fig3": {"kind": "burst", "preset": "fig3", "length": 20000, "reps": 20,
+             "methods": ["saffron", "saffron-decay"], "pi1_grid": []},
+    "fig6": {"kind": "frontier", "preset": "fig6", "length": 20000,
+             "methods": ["saffron", "saffron-decay"], "pi1_grid": []},
+}
+
+
+def _default_text(name):
+    """A setting's default as a config file writes it."""
+    value = getattr(simulation.SweepConfig(), name)
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert digest(a / name) == digest(b / name), name
+
+
+class TestSweepSettings:
+    """Each kind of sweep accepts, records and reruns only its settings."""
+
+    @pytest.mark.parametrize("preset, name", [
+        (preset, name) for preset in ("fig3", "fig6") for name in GRID
+        if name not in KIND_SETTINGS[KINDS[preset]]])
+    def test_setting_outside_the_kind_exits_2_naming_it(
+            self, tmp_path, capsys, preset, name):
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text(f"preset = {preset}\n{name} = "
+                           f"{_default_text(name)}\n")
+        out = tmp_path / "out"
+        code = run("--output-dir", out, "sweep", "--config", cfgfile)
+        assert code == cli.EXIT_VALIDATION
+        kind = KINDS[preset]
+        assert (f"error: preset {preset} (a {kind} sweep) does not use {name}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset, flag, name", [
+        ("fig3", "--reps", "reps"), ("fig3", "--workers", "workers"),
+        ("fig3", "--length", "length"), ("fig6", "--alpha", "alpha"),
+        ("fig6", "--length", "length")])
+    def test_flag_outside_the_kind_exits_2_naming_it(
+            self, tmp_path, capsys, preset, flag, name):
+        out = tmp_path / "out"
+        code = run("--output-dir", out, "sweep", "--preset", preset, flag, "1")
+        assert code == cli.EXIT_VALIDATION
+        assert f"does not use {name}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_accepts_every_setting(self, tmp_path):
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text("preset = fig1\n" + "".join(
+            f"{name} = {_default_text(name)}\n" for name in GRID
+            if name not in ("length", "reps")) + "length = 100\nreps = 1\n")
+        assert run("--output-dir", tmp_path, "sweep", "--config", cfgfile,
+                   "--out", "all") == 0
+        raw = (tmp_path / "all.raw.csv").read_text().splitlines()
+        assert len(raw) == 1 + 5 * 6    # the file's methods and grid: fig4's
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig6"])
+    def test_burst_stream_takes_the_mixture_settings(self, tmp_path, preset):
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text(f"preset = {preset}\nalternative = scale\n"
+                           "sidedness = upper\n")
+        argv = ["sweep", *SMALL[preset], "--out", "s"]
+        assert run("--output-dir", tmp_path / "a", *argv,
+                   "--preset", preset) == 0
+        assert run("--output-dir", tmp_path / "b", *argv,
+                   "--config", cfgfile) == 0
+        data = sorted(p.name for p in (tmp_path / "a").glob("*.csv"))
+        assert data
+        assert all(digest(tmp_path / "a" / name) != digest(tmp_path / "b" / name)
+                   for name in data)
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig4", "fig3", "fig6"])
+    def test_every_preset_records_its_settings_and_reruns_byte_identically(
+            self, tmp_path, preset):
+        first = tmp_path / "first"
+        assert run("--output-dir", first, "sweep", "--preset", preset,
+                   *SMALL[preset], "--out", "s") == 0
+        resolved = json.loads((first / "s.manifest.json").read_text())["resolved"]
+        kind = KINDS[preset]
+        assert set(resolved) == {"kind", "preset", "out", "config_file",
+                                 *KIND_SETTINGS[kind],
+                                 *(["logs"] if kind == "burst" else [])}
+        assert resolved["preset"] == preset
+        assert run("--output-dir", tmp_path / "again", "rerun",
+                   first / "s.manifest.json") == 0
+        _same_files(first, tmp_path / "again")
+
+    @pytest.mark.parametrize("preset", ["fig4", "fig3", "fig6"])
+    def test_old_24_key_manifest_reruns_to_the_same_data(self, tmp_path,
+                                                         preset):
+        resolved = dict(OLD_RESOLVED, **OLD_KINDS[preset])
+        assert len(resolved) == 24
+        manifest = tmp_path / "old.manifest.json"
+        manifest.write_text(json.dumps({"command": "sweep", "inputs": {},
+                                        "outputs": {}, "resolved": resolved}))
+        assert run("--output-dir", tmp_path / "rerun", "rerun", manifest) == 0
+        assert run("--output-dir", tmp_path / "fresh", "sweep", "--preset",
+                   preset, *SMALL[preset], "--out", "old") == 0
+        # the rerun records only the kind's settings, as a fresh run does
+        _same_files(tmp_path / "rerun", tmp_path / "fresh")
 
 
 #: a fresh interpreter runs each command once
