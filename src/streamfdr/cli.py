@@ -173,18 +173,38 @@ _TYPES = {float: (int, float), type(None): (int, float, type(None)),
           tuple: (list, tuple)}
 
 
+class _OrNone:
+    """The default of a setting that is None or has the type of ``of``,
+    such as a path that may be absent."""
+
+    def __init__(self, of):
+        self.of = of
+
+
+def _has_type(value, default) -> bool:
+    """Whether ``value`` has the type of ``default`` by ``_TYPES`` (a
+    list's items that of ``default[0]``)."""
+    if isinstance(default, _OrNone):
+        return value is None or _has_type(value, default.of)
+    if type(value) not in _TYPES.get(type(default), (type(default),)):
+        return False
+    return not isinstance(value, list) or all(
+        _has_type(item, default[0]) for item in value)
+
+
 def _setting(record: dict, name: str, default):
-    """``record[name]`` if it has the type of ``default`` by ``_TYPES`` (a
-    list's items that of ``default[0]``), else ValueError naming it."""
+    """``record[name]`` if it has the type of ``default`` (see
+    ``_has_type``), else ValueError naming it."""
     if name not in record:
         raise ValueError(f"manifest records no {name!r}")
     value = record[name]
-    pairs = [(value, default)]
-    if isinstance(default, tuple) and isinstance(value, list):
-        pairs += [(item, default[0]) for item in value]
-    if any(type(v) not in _TYPES.get(type(d), (type(d),)) for v, d in pairs):
+    if not _has_type(value, default):
         raise ValueError(f"manifest records {name!r} as {value!r}")
     return value
+
+
+#: a path that may be absent, and a list of names that may be absent
+_PATH, _NAMES = _OrNone(""), _OrNone(("",))
 
 
 def config_from_resolved(resolved: dict) -> ControllerConfig:
@@ -193,8 +213,10 @@ def config_from_resolved(resolved: dict) -> ControllerConfig:
     rule = _setting(resolved, "method", "")
     params = {f.name: _setting(resolved, f.name, f.default)
               for f in fields(ControllerConfig) if f.name not in ("rule", "gamma")}
-    gamma = (GammaSequence.from_file(resolved["gamma_file"])
-             if resolved.get("gamma_file") else None)
+    # a sweep's decision logs record no gamma file
+    path = (_setting(resolved, "gamma_file", _PATH)
+            if "gamma_file" in resolved else None)
+    gamma = GammaSequence.from_file(path) if path else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return ControllerConfig(rule=rule, gamma=gamma, **params)
@@ -205,10 +227,11 @@ def config_from_resolved(resolved: dict) -> ControllerConfig:
 # ---------------------------------------------------------------------------
 
 def _run_simulate(resolved: dict, args) -> int:
-    stream = simulation.generate_stream(simulation.GeneratorConfig(
+    config = simulation.GeneratorConfig(
         **{f.name: _setting(resolved, f.name, f.default)
-           for f in fields(simulation.GeneratorConfig)}))
-    prefix = resolved["out"]
+           for f in fields(simulation.GeneratorConfig)})
+    prefix = _setting(resolved, "out", "")
+    stream = simulation.generate_stream(config)
     csv_path = _outpath(args, f"{prefix}.csv")
     _write_csv(csv_path, ["t", "p", "label"],
                [np.arange(1, len(stream) + 1), stream.p, ~stream.is_null])
@@ -230,12 +253,17 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_score(resolved: dict, args) -> int:
-    frame = forecaster.ingest_csv(
-        resolved["input"], value_columns=resolved["columns"],
-        label_column=resolved["label_column"],
-        forward_fill=resolved["forward_fill"])
-    p = forecaster.score_frame(frame, resolved["window"], resolved["sidedness"])
-    prefix = resolved["out"]
+    path = _setting(resolved, "input", "")
+    columns = _setting(resolved, "columns", _NAMES)
+    label_column = _setting(resolved, "label_column", _PATH)
+    forward_fill = _setting(resolved, "forward_fill", False)
+    window = _setting(resolved, "window", 0)
+    sidedness = _setting(resolved, "sidedness", "")
+    prefix = _setting(resolved, "out", "")
+    frame = forecaster.ingest_csv(path, value_columns=columns,
+                                  label_column=label_column,
+                                  forward_fill=forward_fill)
+    p = forecaster.score_frame(frame, window, sidedness)
     csv_path = _outpath(args, f"{prefix}.csv")
     t = np.arange(1, frame.n_rows + 1)
     if frame.labels is not None:
@@ -244,8 +272,8 @@ def _run_score(resolved: dict, args) -> int:
     else:
         _write_csv(csv_path, ["t", "p"], [t, p])
     manifest = _outpath(args, f"{prefix}.manifest.json")
-    write_manifest(manifest, "score", resolved,
-                   {"series": resolved["input"]}, {"pvalues": csv_path})
+    write_manifest(manifest, "score", resolved, {"series": path},
+                   {"pvalues": csv_path})
     print(f"wrote {csv_path} ({frame.n_rows} rows, {frame.n_dims} dims)")
     return EXIT_OK
 
@@ -284,10 +312,15 @@ def _detect_resolved(args) -> dict:
 
 
 def _run_detect(resolved: dict, args) -> int:
+    path = _setting(resolved, "input", "")
+    prefix = _setting(resolved, "out", "")
+    resume_from = _setting(resolved, "resume_from", _PATH)
+    save_state = _setting(resolved, "save_state", _PATH)
+    gamma_file = _setting(resolved, "gamma_file", _PATH)
     config = config_from_resolved(resolved)
-    p, is_null = read_stream_csv(resolved["input"])
-    if resolved["resume_from"]:
-        with open(resolved["resume_from"]) as fh:
+    p, is_null = read_stream_csv(path)
+    if resume_from:
+        with open(resume_from) as fh:
             controller = controllers.restore_controller(config, fh.read())
         offset = controller.t
     else:
@@ -299,7 +332,6 @@ def _run_detect(resolved: dict, args) -> int:
         print(f"threshold floor {floor!r} "
               f"(rescale factor {controllers.rescale_factor(config)!r})")
 
-    prefix = resolved["out"]
     csv_path = _outpath(args, f"{prefix}.csv")
     header = ["t", "p", "alpha", "reject"]
     columns = [np.arange(offset + 1, offset + len(log) + 1), p, log.alpha,
@@ -314,18 +346,18 @@ def _run_detect(resolved: dict, args) -> int:
     _write_json(footer_path, summary)
 
     outputs = {"decisions": csv_path, "metrics": footer_path}
-    if resolved["save_state"]:
-        state_path = _outpath(args, resolved["save_state"])
+    if save_state:
+        state_path = _outpath(args, save_state)
         with open(state_path, "w") as fh:
             fh.write(controller.snapshot())
             fh.write("\n")
         outputs["state"] = state_path
     manifest = _outpath(args, f"{prefix}.manifest.json")
-    inputs = {"pvalues": resolved["input"]}
-    if resolved["resume_from"]:
-        inputs["state"] = resolved["resume_from"]
-    if resolved.get("gamma_file"):
-        inputs["gamma"] = resolved["gamma_file"]
+    inputs = {"pvalues": path}
+    if resume_from:
+        inputs["state"] = resume_from
+    if gamma_file:
+        inputs["gamma"] = gamma_file
     write_manifest(manifest, "detect", resolved, inputs, outputs)
     print(f"wrote {csv_path} ({len(log)} rows, {int(log.rejected.sum())} "
           f"rejections)")

@@ -2,24 +2,27 @@
 
 Reading.  ``read_header`` reads the header with ``csv.reader``.
 ``read_columns`` then reads the body ``CHUNK_ROWS`` lines at a time.  A
-chunk is *plain* when it holds no quote and no carriage return and each of
-its lines has exactly one comma fewer than the header has cells; a plain
-chunk is joined, split once on ``,`` and ``\\n``, and handed to the reader's
-fast parser, which parses whole columns with ``map(int, ...)`` or
-``map(float, ...)`` (``parse_column``).  A cell is therefore accepted exactly
-when Python's ``int`` or ``float`` accepts it, surrounding whitespace,
-``+.5``, ``1_0`` and ``inf`` included.  When a chunk is not plain, or the
-fast parser rejects it (a cell that does not parse, or a check of its own
-such as a gap in ``t``), that chunk and the rest of the file go to the
-reader's row loop over ``csv.reader``.  The row loop is the reference: it
-handles quoting, CRLF line ends, extra trailing cells and forward fill, and
-it names the first bad row by its file-wide number.  Apart from the parsed
-columns, memory is bounded by one chunk.
+chunk is *plain* when each of its lines has exactly one comma fewer than
+the header has cells and it holds no quote, no carriage return and none of
+the separators ``\\x1c``-``\\x1f``, which numpy strips from a cell as
+whitespace and Python refuses (``_plain_cells``).  A plain chunk's lines go
+to the reader's fast parser, which parses them with one call of numpy's C
+reader (``parse_columns``).  On plain lines that reader accepts a cell only
+when Python's ``int`` or ``float`` accepts it, and then gives the same
+value, bit for bit; it refuses a few cells that Python accepts, such as
+``1_0`` and integers beyond int64.  When a chunk is not plain, or the fast
+parser rejects it (such a cell, a cell that does not parse, or a check of
+its own such as a gap in ``t``), that chunk and the rest of the file go to
+the reader's row loop over ``csv.reader``.  The row loop is the reference:
+it handles quoting, CRLF line ends, extra trailing cells and forward fill,
+and it names the first bad row by its file-wide number.  Apart from the
+parsed columns, memory is bounded by one chunk.
 
 ``read_table`` is the one fast parser and row loop of the t-indexed tables
 (``detect``'s p-value streams, ``verify``'s decision logs): it holds their
 rules for ``t``, ``reject`` (``flag``) and labels (``label``) and names a
-bad row.  ``forecaster.ingest_csv`` keeps its own, but reads ``label``.
+bad row.  ``forecaster.ingest_csv`` keeps its own row loop, but parses
+plain chunks by ``parse_columns`` and reads ``label``.
 
 Writing.  ``write_columns`` writes the header with ``csv.writer`` and the
 body ``CHUNK_ROWS`` rows at a time: each column's slice is formatted by
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import warnings
 
 import numpy as np
 
@@ -65,36 +69,68 @@ def label(cell) -> bool:
     return int(float(cell)) != 0
 
 
-def parse_column(cells, width, index, kind):
-    """Column ``index`` of a plain chunk's cells (row-major, ``width`` to a
-    row), parsed by the cell parser ``kind``: ``int`` or ``float`` into an
-    int64 or float64 array, ``flag`` or ``label`` into a bool array; raises
-    ValueError or OverflowError on a cell that ``kind`` refuses."""
-    if kind is flag:
-        return parse_column(cells, width, index, int) != 0
-    if kind is label:
-        values = parse_column(cells, width, index, float)
-        if not np.isfinite(values).all():
-            raise ValueError("a label has no integer part")
-        return np.trunc(values) != 0.0
-    dtype = np.int64 if kind is int else np.float64
-    return np.fromiter(map(kind, cells[index::width]), dtype=dtype,
-                       count=len(cells) // width)
+#: the dtype numpy's reader gives the column of each cell parser
+_FIELDS = {int: np.int64, flag: np.int64, float: np.float64,
+           label: np.float64}
+
+
+def parse_columns(lines, columns):
+    """The columns of a plain chunk (its ``lines``), parsed by one call of
+    numpy's C reader.
+
+    ``columns`` lists (index, parser) pairs; the parser ``int`` or
+    ``float`` gives an int64 or float64 array, ``flag`` or ``label`` a bool
+    array.  On the lines ``_plain_cells`` lets through, the reader accepts a
+    cell only when Python's ``int`` or ``float`` does, and then gives the
+    same value.  Raises ValueError on a cell that it or ``parser`` refuses
+    and on a blank line, which the reader would skip.
+    """
+    dtype = [(f"c{k}", _FIELDS[p]) for k, (_, p) in enumerate(columns)]
+    with warnings.catch_warnings():
+        # numpy before 2.0 reads an int cell such as 1.0 through float,
+        # with a DeprecationWarning; int() refuses it
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(lines, delimiter=",", comments=None,
+                               quotechar=None, dtype=dtype, ndmin=1,
+                               usecols=[i for i, _ in columns])
+        except Warning as exc:
+            raise ValueError(str(exc)) from None
+    if table.size != len(lines):
+        raise ValueError("a line is blank")
+    out = []
+    for k, (_, parse) in enumerate(columns):
+        values = table[f"c{k}"]
+        if parse is flag:
+            values = values != 0
+        elif parse is label:
+            if not np.isfinite(values).all():
+                raise ValueError("a label has no integer part")
+            values = np.trunc(values) != 0.0
+        out.append(values)
+    return out
+
+
+#: the bytes a chunk's skeleton keeps: the ends of its cells and lines, and
+#: what makes it not plain: csv quoting and the separators \x1c-\x1f, which
+#: numpy's reader strips from a cell and Python's int and float refuse
+_SKELETON = b',\n"\r\x1c\x1d\x1e\x1f'
+_NOT_SKELETON = bytes(sorted(set(range(256)) - set(_SKELETON)))
 
 
 def _plain_cells(lines, width):
+    """Raise ValueError unless the cells of a chunk's ``lines`` are plain:
+    ``width`` to a line, none longer than ``csv`` reads, and free of the
+    characters that ``_SKELETON`` keeps besides ``,`` and ``\\n``."""
     text = "".join(lines)
-    if '"' in text or "\r" in text:
-        raise ValueError("needs csv quoting rules")
-    if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
-        raise ValueError("a line has another number of cells")
-    if max(map(len, lines)) > csv.field_size_limit():
-        raise ValueError("a cell may be too long for csv")
+    skeleton = text.encode().translate(None, _NOT_SKELETON)
     if not text.endswith("\n"):        # the last line of the file
-        text += "\n"
-    cells = text.replace("\n", ",").split(",")
-    cells.pop()                        # after the final line end
-    return cells
+        skeleton += b"\n"
+    if skeleton != (b"," * (width - 1) + b"\n") * len(lines):
+        raise ValueError("a line is not plain")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        raise ValueError("a cell may be too long for csv")
 
 
 def _raising(exc):
@@ -107,9 +143,9 @@ def read_columns(fh, width, fast, slow):
     """Read the data rows of ``fh`` (positioned after its header) into
     column arrays.
 
-    ``fast(cells, first_row)`` parses one plain chunk, given as its cells in
-    row-major order, ``width`` to a row, and returns a sequence of arrays; it
-    raises ValueError or OverflowError to hand the chunk over to ``slow``.
+    ``fast(lines, first_row)`` parses one plain chunk, given as its lines
+    (see ``_plain_cells``), and returns a sequence of arrays; it raises
+    ValueError or OverflowError to hand the chunk over to ``slow``.
     ``slow(rows, first_row, parts)`` parses ``csv.reader`` rows from data row
     ``first_row`` (row 1 is the first data row) to the end of the file and
     returns a sequence of arrays; ``parts`` holds what ``fast`` returned for
@@ -130,7 +166,8 @@ def read_columns(fh, width, fast, slow):
         else:
             if lines:
                 try:
-                    parts.append(fast(_plain_cells(lines, width), first))
+                    _plain_cells(lines, width)
+                    parts.append(fast(lines, first))
                 except (ValueError, OverflowError):
                     pass
                 else:
@@ -196,17 +233,16 @@ def read_table(fh, width, columns, t_from, gap):
     (_, it, _), *rest = columns
     first_t = t_from
 
-    def fast(cells, first):
+    def fast(lines, first):
         nonlocal first_t
-        t = parse_column(cells, width, it, int)
+        t, *parsed = parse_columns(lines, [(i, p) for _, i, p in columns])
         if t_from is None and first == 1:
             first_t = int(t[0])
         start = first_t + first - 1
         if first_t < 1 or not np.array_equal(
                 t, np.arange(start, start + t.size)):
             raise ValueError("t does not count up by 1")
-        return [parse_column(cells, width, i, parse)
-                for _, i, parse in rest]
+        return parsed
 
     def slow(rows, first, _parts):
         nonlocal first_t

@@ -78,16 +78,16 @@ def ingest_csv(path, value_columns: Optional[Sequence[str]] = None,
         label_idx = header.index(label_column) if label_column else None
         width = len(header)
 
-        def fast(cells, first):
-            values = np.empty((len(cells) // width, len(value_idx)))
-            for j, idx in enumerate(value_idx):
-                values[:, j] = csvio.parse_column(cells, width, idx, float)
+        columns = [(idx, float) for idx in value_idx]
+        if label_idx is not None:
+            columns.append((label_idx, csvio.label))
+
+        def fast(lines, first):
+            parsed = csvio.parse_columns(lines, columns)
+            values = np.column_stack(parsed[:len(value_idx)])
             if not np.isfinite(values).all():   # the row loop fills or refuses
                 raise ValueError("a value is not finite")
-            if label_idx is None:
-                return (values,)
-            return values, csvio.parse_column(cells, width, label_idx,
-                                              csvio.label)
+            return (values, *parsed[len(value_idx):])
 
         def slow(reader, first, parts):
             prev = parts[-1][0][-1].tolist() if parts else None

@@ -21,13 +21,14 @@ at every prefix T.  The rule is certified iff the oracle never exceeds
 alpha and the surplus never dips below zero (for the ADDIS family, also
 that no threshold exceeds lambda).  "scratch" mode recomputes every prefix
 from the raw arrays, without the recurrence: blocks of B = isqrt(n) rows,
-each block anchored by a direct dot product over all raw values before it,
-and the rows inside a block summed directly, about n**1.5 multiply-adds per
-series.  Its prefixes agree with exactly rounded sums within a relative
-1e-12 (tested against ``math.fsum``).  "recurrence" mode replays the exact
-linear recurrence X <- delta * X + x_t instead, in linear time, through
-``gamma.discounted_sums``, which gives the bits of the scalar loop (an inf or
-NaN at row k reaches no prefix before k).  The two differ by round-off
+each block anchored by a direct dot product over all raw values before it
+(about n**1.5 / 2 multiply-adds per series), and the rows inside a block
+summed by one scaled cumsum.  Its prefixes agree with exactly rounded sums
+within a relative 1e-12 (tested against ``math.fsum`` at decays from 1e-6
+to 1 - 1e-9).  "recurrence" mode replays the exact linear recurrence
+X <- delta * X + x_t instead, in linear time, through
+``gamma.discounted_sums``, which gives the bits of the scalar loop (an inf
+or NaN at row k reaches no prefix before k).  The two differ by round-off
 only, so they give the same verdict unless a surplus or oracle lies within
 about 1e-15 of its bound; ``verify`` uses scratch by default.
 """
@@ -43,6 +44,10 @@ import numpy as np
 from . import controllers
 from .controllers import ControllerConfig
 from .gamma import discounted_sums
+
+#: the scratch verifier scales a value by at most 2**_SCALE before its
+#: in-block cumsum, so the sums stay finite for values below about 2**500
+_SCALE = 500
 
 
 @dataclass
@@ -123,22 +128,29 @@ def _discounted_prefixes(values: np.ndarray, delta: float,
     # Blocks of size = isqrt(n) rows.  A prefix T in the block after row s is
     # delta**(T-s) * A(s) + sum_{s<t<=T} delta**(T-t) * v_t, where each
     # anchor A(s) is a direct dot over the raw values up to s (no anchor is
-    # built from another).  The in-block sums are size shift-and-add passes,
-    # so a NaN or inf at row k reaches no prefix before k (a product with a
-    # zero-padded triangular matrix would: NaN * 0 = NaN).
+    # built from another).  The rows of a block take one scaled cumsum: row
+    # k (k = 0, 1, ...) of a segment after the prefix C is
+    #     delta**k * (delta * C + cumsum_{j<=k} delta**-j * v_j),
+    # C being the anchor for a block's first segment.  A segment is the
+    # whole block unless that would scale a value by more than 2**_SCALE.
+    # A cumsum only carries forward, so a NaN or inf at row k still reaches
+    # no prefix before k.
     size = max(1, isqrt(n))
+    seg = min(size, 1 + int(_SCALE * np.log(2.0) / -np.log(delta)))
     powers = delta ** np.arange(max(n, size + 1), dtype=np.float64)
     rev = values[::-1].copy()
     anchors = np.array([np.dot(rev[n - s:], powers[:s])
                         for s in range(0, n, size)])
-    blocks = anchors.size
-    grid = np.zeros(blocks * size, dtype=np.float64)
-    grid[:n] = values
-    grid = grid.reshape(blocks, size)
-    out = powers[1:size + 1] * anchors[:, None]
-    for k in range(size):
-        out[:, k:] += powers[k] * grid[:, :size - k]
-    return out.reshape(-1)[:n]
+    segs = -(-size // seg)
+    grid = np.zeros((anchors.size, segs * seg), dtype=np.float64)
+    grid[:, :size].flat[:n] = values
+    grid = grid.reshape(anchors.size, segs, seg)
+    sums = np.cumsum(grid * delta ** -np.arange(seg, dtype=np.float64), axis=2)
+    carry = anchors
+    for m in range(segs):
+        sums[:, m] = powers[:seg] * ((delta * carry)[:, None] + sums[:, m])
+        carry = sums[:, m, -1]
+    return sums.reshape(anchors.size, -1)[:, :size].reshape(-1)[:n]
 
 
 def check_verify_options(tol: float, method: str) -> None:

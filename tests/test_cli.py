@@ -866,6 +866,71 @@ class TestSweepSettings:
         _same_files(tmp_path / "rerun", tmp_path / "fresh")
 
 
+#: per command, the keys its rerun reads besides the rule and generator
+#: settings, each with a value of the wrong type
+RERUN_KEYS = {
+    "simulate": {"out": 5},
+    "score": {"input": 5, "columns": "x0", "label_column": 1,
+              "window": "50", "sidedness": None, "forward_fill": 0,
+              "out": ["s"]},
+    "detect": {"input": None, "out": 7, "resume_from": 3, "save_state": [],
+               "gamma_file": 1.5},
+}
+
+
+class TestRerunReadsEveryKey:
+    """A manifest that lacks a key its rerun reads, or records it with the
+    wrong type, exits 2 naming it before any output is written."""
+
+    def _manifest(self, tmp_path, command):
+        stream = simulate(tmp_path, length=200)
+        if command == "simulate":
+            return tmp_path / "stream.manifest.json"
+        if command == "detect":
+            assert run("--output-dir", tmp_path, "detect", "--input", stream,
+                       "--method", "lord-decay", "--out", "det") == 0
+            return tmp_path / "det.manifest.json"
+        series = tmp_path / "series.csv"
+        series.write_text("x0,x1,label\n" + "".join(
+            f"{i % 7}.5,{i % 3},{int(i % 50 == 0)}\n" for i in range(200)))
+        assert run("--output-dir", tmp_path, "score", "--input", series,
+                   "--columns", "x0,x1", "--label-column", "label",
+                   "--window", "20", "--out", "sc") == 0
+        return tmp_path / "sc.manifest.json"
+
+    def _rerun_edited(self, tmp_path, capsys, command, edit):
+        manifest = self._manifest(tmp_path, command)
+        record = json.loads(manifest.read_text())
+        edit(record["resolved"])
+        manifest.write_text(json.dumps(record))
+        capsys.readouterr()
+        code = run("--output-dir", tmp_path / "again", "rerun", manifest)
+        assert not (tmp_path / "again").exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, keys in RERUN_KEYS.items()
+        for key in keys])
+    def test_missing_key_exits_2_naming_it(self, tmp_path, capsys, command,
+                                           key):
+        code, err = self._rerun_edited(tmp_path, capsys, command,
+                                       lambda resolved: resolved.pop(key))
+        assert code == cli.EXIT_VALIDATION
+        assert f"manifest records no {key!r}" in err
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, keys in RERUN_KEYS.items()
+        for key in keys])
+    def test_mistyped_key_exits_2_naming_it(self, tmp_path, capsys, command,
+                                            key):
+        value = RERUN_KEYS[command][key]
+        code, err = self._rerun_edited(
+            tmp_path, capsys, command,
+            lambda resolved: resolved.update({key: value}))
+        assert code == cli.EXIT_VALIDATION
+        assert f"manifest records {key!r} as {value!r}" in err
+
+
 #: a fresh interpreter runs each command once
 _COLD_START = """
 import json

@@ -1,7 +1,7 @@
 """The chunked CSV reader and writer against their reference paths.
 
-Each reader's fast path (whole plain chunks parsed by ``map(int|float)``)
-must give the same arrays, bit for bit, and the same errors as its
+Each reader's fast path (whole plain chunks parsed by ``np.loadtxt``) must
+give the same arrays, bit for bit, and the same errors as its
 ``csv.reader`` row loop, which ``_outcome(..., slow=True)`` forces on
 every chunk.  The writer must give the bytes of ``csv.writer``.
 """
@@ -23,13 +23,14 @@ SMALL_CHUNK = 3
 
 P_GOOD = ["0.5", " 0.5 ", "+.5", "5e-1", "0.25", "1", "0", "1e-300", "0.1_5",
           "0.3333333333333333", '"0.75"', "\t0.5"]
-P_BAD = ["nan", "inf", "1_0", "", "abc", "-0.1", "1.5", "0x1", '"0.5']
-LABEL_GOOD = ["0", "1", " 1 ", "1.0", "-2.5", "0.9", "+1", "1_1"]
+P_BAD = ["nan", "inf", "1_0", "", "abc", "-0.1", "1.5", "0x1", '"0.5', "5_0"]
+LABEL_GOOD = ["0", "1", " 1 ", "1.0", "-2.5", "0.9", "+1", "1_1", "5_0"]
 LABEL_BAD = ["inf", "1e400", "nan", "x", ""]
-REJECT_GOOD = ["0", "1", " 1", "+0", "1_0", "00", "99999999999999999999999"]
+REJECT_GOOD = ["0", "1", " 1", "+0", "1_0", "00", "99999999999999999999999",
+               "5_0", str(2**63), str(-2**63 - 1)]
 REJECT_BAD = ["1.0", "x", ""]
 VALUE_GOOD = ["1.5", " 0.5 ", "+.5", "5e-1", "1_0", "-3", "2.5e3",
-              "0.30000000000000004", '"7"']
+              "0.30000000000000004", '"7"', "5_0"]
 VALUE_BAD = ["", "nan", "NaN", "inf", "-inf", "abc", "1e400"]
 
 
@@ -38,15 +39,21 @@ def _t_good(i):
 
 
 def _t_bad(i):
-    return [str(i + 1), "x", "", "1.0"]
+    return [str(i + 1), "x", "", "1.0", str(2**63), str(-2**63 - 1)]
+
+
+#: what a noisy file may wrap a cell in: the separators \x1c-\x1f, which
+#: numpy's reader strips and Python's int and float refuse, and NUL
+WRAPS = [w for ch in "\x1c\x1d\x1e\x1f\x00" for w in (ch + "{}", "{}" + ch)]
 
 
 @st.composite
 def csv_texts(draw, header, pools, extra_ok=False):
     """A CSV text: ``header`` and up to 12 rows whose cells come from
     ``pools`` (per column: (good, bad), lists or functions of the row
-    number).  Half the files hold only good cells; any file may use CRLF
-    line ends, lack its last line end, or hold ragged, padded or blank
+    number).  Half the files hold only good cells; the others may wrap a
+    cell by ``WRAPS``.  Any file may use CRLF line ends, lack its last line
+    end, or hold ragged, padded, blank, whitespace-only or ``#``-led
     lines."""
     noisy = draw(st.booleans())
     eol = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
@@ -57,9 +64,12 @@ def csv_texts(draw, header, pools, extra_ok=False):
             good = good(i) if callable(good) else good
             bad = bad(i) if callable(bad) else bad
             pool = good * 4 + bad if noisy else good
-            cells.append(draw(st.sampled_from(pool)))
-        shape = draw(st.sampled_from(["as is"] * 12 + ["short", "extra",
-                                                       "blank"]))
+            cell = draw(st.sampled_from(pool))
+            if noisy and draw(st.integers(0, 9)) == 0:
+                cell = draw(st.sampled_from(WRAPS)).format(cell)
+            cells.append(cell)
+        shape = draw(st.sampled_from(["as is"] * 12 + [
+            "short", "extra", "blank", "spaces", "hash"]))
         if noisy or (extra_ok and shape == "extra"):
             if shape == "short":
                 cells = cells[:-1]
@@ -67,6 +77,10 @@ def csv_texts(draw, header, pools, extra_ok=False):
                 cells = cells + ["z"]
             elif shape == "blank":
                 cells = []
+            elif shape == "spaces":
+                cells = [" \t "]
+            elif shape == "hash":
+                cells = ["#" + cells[0]] + cells[1:]
         lines.append(",".join(cells))
     text = eol.join(lines)
     return text + eol if draw(st.booleans()) else text
@@ -196,9 +210,9 @@ class TestReadColumns:
     def _trace(self, text, chunk):
         calls = []
 
-        def fast(cells, first):
-            calls.append(("fast", first, len(cells) // 2))
-            return (np.asarray(csvio.parse_column(cells, 2, 1, float)),)
+        def fast(lines, first):
+            calls.append(("fast", first, len(lines)))
+            return csvio.parse_columns(lines, [(1, float)])
 
         def slow(rows, first, parts):
             rows = list(rows)
@@ -228,6 +242,57 @@ class TestReadColumns:
     def test_empty_body(self):
         calls, p = self._trace("t,p\n", 4)
         assert calls == [("slow", 1, 0, 0)] and p.size == 0
+
+
+class TestSeparatorCells:
+    """numpy's reader strips \\x1c-\\x1f from a cell as whitespace; Python's
+    int and float refuse them, so a chunk holding one goes to the row loop."""
+
+    def _detect(self, tmp_path, text):
+        stream = tmp_path / "s.csv"
+        stream.write_text(text)
+        return cli.main(["--output-dir", str(tmp_path), "detect", "--input",
+                         str(stream), "--method", "lord", "--out", "d"])
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_detect_refuses_it_naming_row_1(self, tmp_path, capsys, sep):
+        assert self._detect(tmp_path, f"t,p\n1,0.5{sep}\n") == 2
+        assert (f"row 1: cannot read p from {'0.5' + sep!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_verify_refuses_it_naming_row_1(self, tmp_path, capsys):
+        assert self._detect(tmp_path, "t,p\n1,0.5\n") == 0
+        log = tmp_path / "d.csv"
+        log.write_text(log.read_text().replace(",0.5,", ",0.5\x1c,"))
+        capsys.readouterr()
+        assert cli.main(["verify", "--input", str(log), "--manifest",
+                         str(tmp_path / "d.manifest.json"),
+                         "--allow-modified"]) == 2
+        captured = capsys.readouterr()
+        assert "row 1: cannot read p from '0.5\\x1c'" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_score_strips_it_as_before(self, tmp_path):
+        # the series reader's row loop strips a cell by str.strip, which
+        # removes the separators too, so score reads 1,0.5\x1c as 1,0.5
+        for name, sep in (("plain", ""), ("sep", "\x1c")):
+            (tmp_path / f"{name}.csv").write_text(
+                f"x,y\n1,0.5{sep}\n2,0.7\n3,0.1\n")
+            assert cli.main(["--output-dir", str(tmp_path), "score",
+                             "--input", str(tmp_path / f"{name}.csv"),
+                             "--window", "2", "--out", f"{name}.p"]) == 0
+        assert ((tmp_path / "sep.p.csv").read_bytes()
+                == (tmp_path / "plain.p.csv").read_bytes())
+
+
+@pytest.mark.parametrize("line", ["", " ", "\t"])
+def test_one_column_series_refuses_a_blank_line(tmp_path, line):
+    # one column has no comma to count, and numpy's reader skips a blank line
+    path = tmp_path / "x.csv"
+    path.write_text(f"x\n1.5\n{line}\n2.5\n")
+    with pytest.raises(ValueError, match="row 2: "):
+        forecaster.ingest_csv(path)
 
 
 class TestChunkBoundaries:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -350,3 +351,78 @@ class TestScratchPrefixes:
                 metrics._discounted_prefixes(values, cfg.delta, "scratch"),
                 metrics._discounted_prefixes(values, cfg.delta, "recurrence"),
                 rtol=1e-10, atol=1e-12)
+
+
+#: decays from tiny, where a few rows' weights underflow, to just below 1
+DELTAS = [1e-6, 0.1, 0.5, 0.99, 1 - 1e-9]
+
+
+def _shift_and_add_prefixes(values, delta):
+    """The scratch prefixes as the verifier summed them before one cumsum
+    per block: the same anchors, then isqrt(n) shift-and-add passes."""
+    n = values.size
+    size = max(1, math.isqrt(n))
+    powers = delta ** np.arange(max(n, size + 1), dtype=np.float64)
+    rev = values[::-1].copy()
+    anchors = np.array([np.dot(rev[n - s:], powers[:s])
+                        for s in range(0, n, size)])
+    grid = np.zeros(anchors.size * size)
+    grid[:n] = values
+    grid = grid.reshape(anchors.size, size)
+    out = powers[1:size + 1] * anchors[:, None]
+    for k in range(size):
+        out[:, k:] += powers[k] * grid[:, :size - k]
+    return out.reshape(-1)[:n]
+
+
+class TestScratchPrefixesAtEveryDecay:
+    """One scaled cumsum per block, at decays whose scale would overflow in
+    one step and at decays that barely discount."""
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("n", [1, 2, 1000, 100_000])
+    def test_matches_exact_sums_and_the_recurrence(self, n, delta):
+        rng = np.random.default_rng(n)
+        values = rng.random(n) * 10.0 ** rng.uniform(-12, 0, n)
+        got = metrics._discounted_prefixes(values, delta, "scratch")
+        assert got.shape == (n,) and np.isfinite(got).all()
+        if n <= 1000:
+            np.testing.assert_allclose(got, _fsum_prefixes(values, delta),
+                                       rtol=1e-12, atol=0.0)
+        else:
+            np.testing.assert_allclose(
+                got, metrics._discounted_prefixes(values, delta, "recurrence"),
+                rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_bad_threshold_in_a_block_reports_like_before(self, delta, where,
+                                                          bad):
+        n, size = 10_000, 100                  # blocks of isqrt(n) rows
+        k = 3 * size + {"first": 0, "middle": 50, "last": 99}[where]
+        cfg = ControllerConfig(rule="lord-decay", delta=delta)
+        stream = generate_stream(GeneratorConfig(length=n, pi1=0.01, seed=8))
+        log = metrics.run_log(make_controller(cfg), stream.p)
+        assert verify_oracle_and_surplus(log, cfg).passed
+        log.alpha[k] = bad
+        with np.errstate(invalid="ignore"):
+            got = metrics._discounted_prefixes(log.alpha, delta, "scratch")
+            ours = verify_oracle_and_surplus(log, cfg)
+            with mock.patch.object(
+                    metrics, "_discounted_prefixes",
+                    lambda v, d, _: _shift_and_add_prefixes(v, d)):
+                before = verify_oracle_and_surplus(log, cfg)
+        assert np.isfinite(got[:k]).all() and not np.isfinite(got[k])
+        assert ours.first_violation_at == before.first_violation_at == k + 1
+        if bad == np.inf:
+            # within its block an inf stays inf, as in the recurrence
+            assert np.isposinf(got[k:4 * size]).all()
+        if bad == np.inf and delta ** (size - 1) == 0.0:
+            # the old in-block weights underflowed to 0, and inf * 0 turned
+            # the rest of the block NaN; argmin and argmax go to a NaN
+            assert ours.min_surplus_at > before.min_surplus_at > k
+            assert ours.max_oracle_at > before.max_oracle_at > k
+        else:
+            assert ((ours.min_surplus_at, ours.max_oracle_at)
+                    == (before.min_surplus_at, before.max_oracle_at))
