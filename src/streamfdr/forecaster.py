@@ -56,6 +56,14 @@ class SeriesFrame:
         return float(self.labels.mean()) if self.n_rows else 0.0
 
 
+#: what ``float()`` (and so ``csvio.label``) strips from a cell: the
+#: characters of ``str.isspace``, less the separators \x1c-\x1f, which it
+#: refuses
+_SPACE = ("\t\n\x0b\x0c\r \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+          "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f"
+          "\u3000")
+
+
 def ingest_csv(path, value_columns: Optional[Sequence[str]] = None,
                label_column: Optional[str] = None,
                forward_fill: bool = False) -> SeriesFrame:
@@ -99,7 +107,7 @@ def ingest_csv(path, value_columns: Optional[Sequence[str]] = None,
                         f"got {len(cells)}")
                 parsed = []
                 for col, idx in zip(value_columns, value_idx):
-                    text = cells[idx].strip()
+                    text = cells[idx].strip(_SPACE)
                     if text == "" or text.lower() == "nan":
                         if forward_fill and prev is not None:
                             parsed.append(prev[len(parsed)])
@@ -126,7 +134,7 @@ def ingest_csv(path, value_columns: Optional[Sequence[str]] = None,
                 rows.append(parsed)
                 prev = parsed
                 if label_idx is not None:
-                    text = cells[label_idx].strip()
+                    text = cells[label_idx].strip(_SPACE)
                     try:
                         labels.append(csvio.label(text))
                     except (ValueError, OverflowError):   # inf has no int

@@ -162,6 +162,13 @@ def check_verify_options(tol: float, method: str) -> None:
         raise ValueError(f"unknown verification method {method!r}")
 
 
+def _worst(prefixes, pick) -> int:
+    """The index of the first prefix that is not finite, where the two
+    verify methods agree; else ``pick`` (argmin or argmax) of them."""
+    bad = ~np.isfinite(prefixes)
+    return int(np.argmax(bad)) if bad.any() else int(pick(prefixes))
+
+
 def verify_oracle_and_surplus(log: DecisionLog, config: ControllerConfig,
                               tol: float = 1e-10,
                               method: str = "scratch") -> VerificationReport:
@@ -176,20 +183,23 @@ def verify_oracle_and_surplus(log: DecisionLog, config: ControllerConfig,
         base = alpha * (config.eta if smooth else 1.0)
         return VerificationReport(config.rule, 0, base, 0, 0.0, 0,
                                   alpha + tol, True, None, True)
-    num = _oracle_numerator(log, config)
-    spend = _discounted_prefixes(num, config.delta, method)
-    rdelta = _discounted_prefixes(log.rejected.astype(np.float64),
-                                  config.delta, method)
-    if smooth:
-        denom = rdelta + config.eta
-    else:
-        denom = np.maximum(rdelta, 1.0)
-    oracle = spend / denom
-    surplus = alpha * denom - spend
+    # an inf or NaN threshold makes NaN prefixes (inf * 0, inf - inf); the
+    # report names them, so numpy need not warn
+    with np.errstate(invalid="ignore"):
+        num = _oracle_numerator(log, config)
+        spend = _discounted_prefixes(num, config.delta, method)
+        rdelta = _discounted_prefixes(log.rejected.astype(np.float64),
+                                      config.delta, method)
+        if smooth:
+            denom = rdelta + config.eta
+        else:
+            denom = np.maximum(rdelta, 1.0)
+        oracle = spend / denom
+        surplus = alpha * denom - spend
 
     consistent = bool(np.array_equal(log.rejected, log.p <= log.alpha))
-    i_min = int(np.argmin(surplus))
-    i_max = int(np.argmax(oracle))
+    i_min = _worst(surplus, np.argmin)
+    i_max = _worst(oracle, np.argmax)
     # written so that a NaN (from a NaN or infinite threshold) is a violation
     ok = (surplus >= -tol) & (oracle <= alpha + tol)
     if config.spec.family == "addis":

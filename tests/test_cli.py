@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import streamfdr
-from streamfdr import cli, simulation
+from streamfdr import cli, csvio, simulation
 
 
 def digest(path):
@@ -209,6 +211,25 @@ class TestCsvWriter:
             b"a,b,c,d,e,f,g,h,i\n"
             b",1,1,3,0.1,plain,0.5,1,2.5\n"
             b'x,0,0,-7,1e-300,"with,comma",0.6666666666666666,0,\n')
+
+    def test_detect_log_equals_a_csv_writer_rewrite(self, tmp_path):
+        # a stream and its decision log over several writer chunks, each
+        # float cell as repr writes it, each integer and flag as str does
+        length = 3 * csvio.CHUNK_ROWS + 17
+        stream = simulate(tmp_path, length=length, pi1=0.05, seed=4)
+        assert run("--output-dir", tmp_path, "detect", "--input", stream,
+                   "--method", "lord-decay", "--out", "d") == 0
+        for path in (stream, tmp_path / "d.csv"):
+            text = path.read_text()
+            header, *rows = csv.reader(io.StringIO(text))
+            floats = [name in ("p", "alpha") for name in header]
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([repr(float(cell)) if is_float else str(int(cell))
+                              for is_float, cell in zip(floats, row)]
+                             for row in rows)
+            assert len(rows) == length and text == buf.getvalue()
 
 
 class TestVerify:

@@ -273,17 +273,26 @@ class TestSeparatorCells:
         assert "row 1: cannot read p from '0.5\\x1c'" in captured.err
         assert "PASS" not in captured.out
 
-    def test_score_strips_it_as_before(self, tmp_path):
-        # the series reader's row loop strips a cell by str.strip, which
-        # removes the separators too, so score reads 1,0.5\x1c as 1,0.5
-        for name, sep in (("plain", ""), ("sep", "\x1c")):
-            (tmp_path / f"{name}.csv").write_text(
-                f"x,y\n1,0.5{sep}\n2,0.7\n3,0.1\n")
-            assert cli.main(["--output-dir", str(tmp_path), "score",
-                             "--input", str(tmp_path / f"{name}.csv"),
-                             "--window", "2", "--out", f"{name}.p"]) == 0
-        assert ((tmp_path / "sep.p.csv").read_bytes()
-                == (tmp_path / "plain.p.csv").read_bytes())
+    @pytest.mark.parametrize("cells, fault", [
+        ("1,0.5\x1c,0", "bad number '0.5\\x1c' in column 'y'"),
+        ("1,\x1f0.5,0", "bad number '\\x1f0.5' in column 'y'"),
+        ("1,0.5,\x1c1", "bad label '\\x1c1'"),
+        ("1,0.5,1\x1d", "bad label '1\\x1d'")])
+    def test_score_refuses_it_naming_row_1(self, tmp_path, capsys, cells,
+                                           fault):
+        # the series reader strips a cell only of what float() strips
+        (tmp_path / "s.csv").write_text(f"x,y,label\n{cells}\n2,0.7,0\n")
+        assert cli.main(["--output-dir", str(tmp_path), "score", "--input",
+                         str(tmp_path / "s.csv"), "--label-column", "label",
+                         "--window", "2", "--out", "p"]) == 2
+        assert f"row 1: {fault}" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_series_reader_strips_what_float_strips(self):
+        space = "".join(ch for ch in map(chr, range(0x110000))
+                        if ch.isspace() and ch not in "\x1c\x1d\x1e\x1f")
+        assert forecaster._SPACE == space
+        assert all(float(f"{ch}1{ch}") == 1.0 for ch in space)
 
 
 @pytest.mark.parametrize("line", ["", " ", "\t"])
@@ -372,11 +381,26 @@ class TestChunkBoundaries:
         assert frame.values[csvio.CHUNK_ROWS].tolist() == [last + 0.5, last]
 
 
+def _reference_cell(value):
+    """A cell as the writer's rules give it to ``csv.writer``: None empty,
+    bools as 0/1, floats by ``repr``, integers by ``str``, one at a time."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return value
+
+
 def _csv_writer_bytes(header, columns):
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(zip(*map(csvio.cells, columns)))
+    writer.writerows(zip(*([_reference_cell(v) for v in column]
+                           for column in columns)))
     return buf.getvalue()
 
 
@@ -399,15 +423,19 @@ class TestWriter:
     def test_bytes_equal_csv_writer(self, data, n, width):
         columns = []
         for _ in range(width):
-            kind = data.draw(st.sampled_from(["f", "i", "b", "text"]))
+            kind = data.draw(st.sampled_from(["f", "i", "u", "b", "text"]))
             if kind == "f":
                 col = np.asarray(data.draw(st.lists(
                     st.floats(allow_nan=True, allow_infinity=True),
                     min_size=n, max_size=n)), dtype=np.float64)
             elif kind == "i":
                 col = np.asarray(data.draw(st.lists(
-                    st.integers(-2**62, 2**62), min_size=n, max_size=n)),
+                    st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)),
                     dtype=np.int64)
+            elif kind == "u":
+                col = np.asarray(data.draw(st.lists(
+                    st.integers(0, 2**64 - 1), min_size=n, max_size=n)),
+                    dtype=np.uint64)
             elif kind == "b":
                 col = np.asarray(data.draw(st.lists(
                     st.booleans(), min_size=n, max_size=n)), dtype=bool)
@@ -427,3 +455,71 @@ class TestWriter:
         header = ["t", "p", "reject", "note"]
         assert _write_bytes(header, columns) == _csv_writer_bytes(
             header, columns)
+
+    @pytest.mark.parametrize("text", [False, True])
+    def test_integers_at_the_extremes(self, text):
+        # a uint64 at or above 2**63 is written as itself, not wrapped
+        # negative; int64 at both ends; with a text column, through
+        # csv.writer
+        unsigned = np.array([0, 2**63 - 1, 2**63, 2**63 + 5, 2**64 - 1],
+                            dtype=np.uint64)
+        signed = np.array([-2**63, -2**63 + 1, -1, 0, 2**63 - 1])
+        columns = [unsigned, signed] + ([["x"] * 5] if text else [])
+        lines = _write_bytes(["u", "i", "s"][:len(columns)],
+                             columns).splitlines()[1:]
+        assert [line.split(",")[:2] for line in lines] == [
+            ["0", "-9223372036854775808"],
+            ["9223372036854775807", "-9223372036854775807"],
+            ["9223372036854775808", "-1"],
+            ["9223372036854775813", "0"],
+            ["18446744073709551615", "9223372036854775807"]]
+        assert csvio.cells(unsigned[3:4]) == ["9223372036854775813"]
+
+
+def _misprinted(x):
+    """The first values of the float array ``x`` whose cell, as the writer
+    writes them in one column, is not their ``repr``: (repr, cell) pairs."""
+    x = np.asarray(x)
+    cells = _write_bytes(["x"], [x]).split("\n")[1:-1]
+    assert len(cells) == x.size
+    return [(repr(value), cell) for value, cell in zip(x.tolist(), cells)
+            if cell != repr(value)][:5]
+
+
+def _float_corpus(seed):
+    """Uniform [0, 1), log-uniform 1e-320..1e308, every power of 2 and of
+    10 with both neighbours, integers and halves, of both signs."""
+    rng = np.random.default_rng(seed)
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024),
+                             10.0 ** np.arange(-323, 309)])
+    powers = np.concatenate([powers, np.nextafter(powers, np.inf),
+                             np.nextafter(powers, 0.0)])
+    integers = np.concatenate([np.arange(-1000, 1001),
+                               rng.integers(-2**53, 2**53, 20_000),
+                               rng.integers(-2**63, 2**63 - 1, 20_000)])
+    halves = rng.integers(-2**52, 2**52, 20_000) + 0.5
+    parts = [rng.random(100_000), 10.0 ** rng.uniform(-320, 308, 100_000),
+             powers, integers.astype(np.float64), halves]
+    return np.concatenate(parts + [-part for part in parts])
+
+
+class TestFloatCells:
+    """Every float cell is the value's ``repr``."""
+
+    def test_seeded_corpus(self):
+        assert _misprinted(_float_corpus(17)) == []
+
+    def test_random_bit_patterns(self):
+        x = np.random.default_rng(18).integers(
+            0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+        assert _misprinted(x) == []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_float(self, values):
+        # nan, inf, -0.0 and subnormals included
+        assert _misprinted(values) == []
+
+    def test_narrower_floats_as_their_float64_value(self):
+        assert _misprinted(np.array([0.1, 1e-40, 3.0e38, np.nan],
+                                    dtype=np.float32)) == []

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -397,8 +398,8 @@ class TestScratchPrefixesAtEveryDecay:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     @pytest.mark.parametrize("delta", DELTAS)
-    def test_bad_threshold_in_a_block_reports_like_before(self, delta, where,
-                                                          bad):
+    def test_bad_threshold_in_a_block_is_reported_at_its_row(self, delta,
+                                                             where, bad):
         n, size = 10_000, 100                  # blocks of isqrt(n) rows
         k = 3 * size + {"first": 0, "middle": 50, "last": 99}[where]
         cfg = ControllerConfig(rule="lord-decay", delta=delta)
@@ -408,21 +409,23 @@ class TestScratchPrefixesAtEveryDecay:
         log.alpha[k] = bad
         with np.errstate(invalid="ignore"):
             got = metrics._discounted_prefixes(log.alpha, delta, "scratch")
-            ours = verify_oracle_and_surplus(log, cfg)
             with mock.patch.object(
                     metrics, "_discounted_prefixes",
                     lambda v, d, _: _shift_and_add_prefixes(v, d)):
                 before = verify_oracle_and_surplus(log, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # verify warns of no NaN
+            reports = [verify_oracle_and_surplus(log, cfg, method=method)
+                       for method in ("scratch", "recurrence")]
         assert np.isfinite(got[:k]).all() and not np.isfinite(got[k])
-        assert ours.first_violation_at == before.first_violation_at == k + 1
         if bad == np.inf:
             # within its block an inf stays inf, as in the recurrence
             assert np.isposinf(got[k:4 * size]).all()
-        if bad == np.inf and delta ** (size - 1) == 0.0:
-            # the old in-block weights underflowed to 0, and inf * 0 turned
-            # the rest of the block NaN; argmin and argmax go to a NaN
-            assert ours.min_surplus_at > before.min_surplus_at > k
-            assert ours.max_oracle_at > before.max_oracle_at > k
-        else:
-            assert ((ours.min_surplus_at, ours.max_oracle_at)
-                    == (before.min_surplus_at, before.max_oracle_at))
+        assert before.first_violation_at == k + 1
+        # both modes name the row of the bad threshold, where the first
+        # prefix stops being finite, not a later NaN
+        for report in reports:
+            assert not report.passed
+            assert (report.first_violation_at == report.min_surplus_at
+                    == report.max_oracle_at == k + 1)
+            assert not np.isfinite([report.min_surplus, report.max_oracle]).any()
