@@ -52,14 +52,12 @@ rejection.  The ADDIS family records the candidate count S_0 at each
 rejection and takes a dot product over the live rejection terms.
 
 State is prunable (dropping a rejection term only lowers thresholds, so
-memory stays bounded on infinite streams), serializable to a versioned
-plain-text snapshot for resumable streams, and cheap to clone for replay
-experiments.
+memory stays bounded on infinite streams) and serializable to a versioned
+plain-text snapshot for resumable streams.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import warnings
@@ -566,14 +564,6 @@ class _BaseController:
             oracle[i] = d.oracle_value
         return alpha, rejected, oracle
 
-    def clone(self):
-        """Independent copy: writable arrays are copied, read-only tables shared."""
-        other = copy.copy(self)
-        for name, value in vars(self).items():
-            if isinstance(value, np.ndarray) and value.flags.writeable:
-                setattr(other, name, value.copy())
-        return other
-
     # -- snapshots ---------------------------------------------------------
 
     def _decay_weights(self) -> list[float]:
@@ -820,8 +810,8 @@ class LordController(_BaseController):
         delta = cfg.delta
         if not spend.size:
             return np.empty(0, dtype=np.float64)
-        dspend = discounted_sums(spend, delta, self._dspend)
-        rdelta = discounted_sums(rejected, delta, self._rdelta)
+        dspend, rdelta = discounted_sums(np.column_stack((spend, rejected)),
+                                         delta, (self._dspend, self._rdelta)).T
         self._dspend = float(dspend[-1])
         self._rdelta = float(rdelta[-1])
         if self._smooth:

@@ -2,21 +2,26 @@
 
 Reading.  ``read_header`` reads the header with ``csv.reader``.
 ``read_columns`` then reads the body ``CHUNK_ROWS`` lines at a time.  A
-chunk is *plain* when each of its lines has exactly one comma fewer than
-the header has cells and it holds no quote, no carriage return and none of
-the separators ``\\x1c``-``\\x1f``, which numpy strips from a cell as
-whitespace and Python refuses (``_plain_cells``).  A plain chunk's lines go
-to the reader's fast parser, which parses them with one call of numpy's C
-reader (``parse_columns``).  On plain lines that reader accepts a cell only
-when Python's ``int`` or ``float`` accepts it, and then gives the same
-value, bit for bit; it refuses a few cells that Python accepts, such as
-``1_0`` and integers beyond int64.  When a chunk is not plain, or the fast
-parser rejects it (such a cell, a cell that does not parse, or a check of
-its own such as a gap in ``t``), that chunk and the rest of the file go to
-the reader's row loop over ``csv.reader``.  The row loop is the reference:
-it handles quoting, CRLF line ends, extra trailing cells and forward fill,
-and it names the first bad row by its file-wide number.  Apart from the
-parsed columns, memory is bounded by one chunk.
+chunk is *plain* when its lines hold the header's number of cells and no
+quote, no carriage return and none of the separators ``\\x1c``-``\\x1f``,
+which numpy strips from a cell as whitespace and Python refuses
+(``_plain_cells``, six substring searches).  A plain chunk's lines go to
+the reader's fast parser, which parses them with one call of numpy's C
+reader (``parse_columns``).  When a table parses every cell of its lines
+(streams, score files, decision logs, series with a label), that reader
+counts the cells itself and refuses a line with one too many or too few;
+a table with a column it does not parse compares each chunk's commas and
+line ends with the header's instead.  On plain lines the reader accepts a
+cell only when Python's ``int`` or ``float`` accepts it, and then gives
+the same value, bit for bit; it refuses a few cells that Python accepts,
+such as ``1_0`` and integers beyond int64.  When a chunk is not plain, or
+the fast parser rejects it (such a cell, a cell that does not parse, a
+line of another width, or a check of its own such as a gap in ``t``),
+that chunk and the rest of the file go to the reader's row loop over
+``csv.reader``.  The row loop is the reference: it handles quoting, CRLF
+line ends, extra trailing cells and forward fill, and it names the first
+bad row by its file-wide number.  Apart from the parsed columns, memory is
+bounded by one chunk.
 
 ``read_table`` is the one fast parser and row loop of the t-indexed tables
 (``detect``'s p-value streams, ``verify``'s decision logs): it holds their
@@ -25,22 +30,27 @@ bad row.  ``forecaster.ingest_csv`` keeps its own row loop, but parses
 plain chunks by ``parse_columns`` and reads ``label``.
 
 Writing.  ``write_columns`` writes the header with ``csv.writer`` and the
-body ``CHUNK_ROWS`` rows at a time, byte for byte as
-``csv.writer(fh, lineterminator="\\n")`` would, floats exactly as ``repr``
-writes them.  A chunk of float, integer and bool arrays, which never need
-quoting, is built as one byte matrix, a column per row of the chunk with
-0 bytes where a cell is shorter than its rows, and written in one call
-(``_numeric_lines``).  Float cells take Ryu's shortest round-trip digits,
-computed in uint64 lanes with integer arithmetic only (``_shortest``) and
-laid out as ``repr`` lays them out (``_float_rows``).  Only the lanes
-outside Ryu's common case call ``repr``, in one batch per chunk: 0.0,
-subnormals, inf, nan, |x| >= 2**54 and mantissas with at least q trailing
-zero bits, every integer-valued float among them.  A chunk holding any
-other column goes through ``csv.writer``, its cells made by ``cells``.
+body byte for byte as ``csv.writer(fh, lineterminator="\\n")`` would,
+floats exactly as ``repr`` writes them.  A table of float, integer and
+bool arrays, which never need quoting, is written ``NUMERIC_ROWS`` rows at
+a time (``_numeric_lines``): each chunk is one zeroed byte matrix, a row
+per byte of a cell or separator and a column per line, that each array
+fills in place; the rows no line of the chunk uses (a sign when nothing is
+negative, leading zeros, an exponent) are dropped before the transpose,
+the 0 bytes after it, and the ASCII goes straight to the file's binary
+buffer.  Float cells take Ryu's shortest round-trip digits, computed in
+uint64 lanes with integer arithmetic only (``_shortest``) and laid out as
+``repr`` lays them out (``_float_rows``).  Only the lanes outside Ryu's
+common case call ``repr``, in one batch per chunk: 0.0, subnormals, inf,
+nan, |x| >= 2**54 and mantissas with at least q trailing zero bits, every
+integer-valued float among them.  A table holding any other column goes
+through ``csv.writer`` ``CHUNK_ROWS`` rows at a time, its cells made by
+``cells``.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import itertools
@@ -48,8 +58,11 @@ import warnings
 
 import numpy as np
 
-#: rows per chunk, for reading and for writing
+#: lines per chunk read, and rows per chunk written through csv.writer
 CHUNK_ROWS = 4096
+#: rows per chunk of an all-numeric table, written as bytes; its
+#: temporaries stay near 5 MB
+NUMERIC_ROWS = 1 << 14
 
 
 def read_header(fh):
@@ -79,18 +92,25 @@ _FIELDS = {int: np.int64, flag: np.int64, float: np.float64,
            label: np.float64}
 
 
-def parse_columns(lines, columns):
+def parse_columns(lines, columns, whole=False):
     """The columns of a plain chunk (its ``lines``), parsed by one call of
     numpy's C reader.
 
     ``columns`` lists (index, parser) pairs; the parser ``int`` or
     ``float`` gives an int64 or float64 array, ``flag`` or ``label`` a bool
-    array.  On the lines ``_plain_cells`` lets through, the reader accepts a
-    cell only when Python's ``int`` or ``float`` does, and then gives the
-    same value.  Raises ValueError on a cell that it or ``parser`` refuses
-    and on a blank line, which the reader would skip.
+    array.  ``whole`` says that they are every cell of a line: the reader
+    then parses each cell and refuses a line with another number of cells,
+    so the chunk's skeleton need not be compared (``_plain_cells``).  On
+    the lines ``_plain_cells`` lets through, the reader accepts a cell only
+    when Python's ``int`` or ``float`` does, and then gives the same value.
+    Raises ValueError on a cell that it or ``parser`` refuses, on a line
+    with a cell too many or too few when ``whole`` is set, and on a blank
+    line, which the reader would skip.
     """
+    indices = [i for i, _ in columns]
     dtype = [(f"c{k}", _FIELDS[p]) for k, (_, p) in enumerate(columns)]
+    if whole:   # the fields in the order of the cells
+        dtype = [dtype[indices.index(i)] for i in range(len(columns))]
     with warnings.catch_warnings():
         # numpy before 2.0 reads an int cell such as 1.0 through float,
         # with a DeprecationWarning; int() refuses it
@@ -98,7 +118,7 @@ def parse_columns(lines, columns):
         try:
             table = np.loadtxt(lines, delimiter=",", comments=None,
                                quotechar=None, dtype=dtype, ndmin=1,
-                               usecols=[i for i, _ in columns])
+                               usecols=None if whole else indices)
         except Warning as exc:
             raise ValueError(str(exc)) from None
     if table.size != len(lines):
@@ -116,26 +136,45 @@ def parse_columns(lines, columns):
     return out
 
 
-#: the bytes a chunk's skeleton keeps: the ends of its cells and lines, and
-#: what makes it not plain: csv quoting and the separators \x1c-\x1f, which
-#: numpy's reader strips from a cell and Python's int and float refuse
-_SKELETON = b',\n"\r\x1c\x1d\x1e\x1f'
-_NOT_SKELETON = bytes(sorted(set(range(256)) - set(_SKELETON)))
+def every_cell(indices, width) -> bool:
+    """Whether the cell ``indices`` a table parses are all ``width`` cells
+    of its lines, each once: ``parse_columns``'s ``whole``."""
+    return sorted(indices) == list(range(width))
+
+
+#: what makes a chunk not plain: csv quoting, a carriage return, and the
+#: separators \x1c-\x1f, which numpy's reader strips from a cell and
+#: Python's int and float refuse
+_NOT_PLAIN = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+#: every byte but the ends of cells and lines
+_NOT_SKELETON = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 def _plain_cells(lines, width):
     """Raise ValueError unless the cells of a chunk's ``lines`` are plain:
-    ``width`` to a line, none longer than ``csv`` reads, and free of the
-    characters that ``_SKELETON`` keeps besides ``,`` and ``\\n``."""
+    free of ``_NOT_PLAIN``, none longer than ``csv`` reads, and, unless
+    ``width`` is None, ``width`` to a line, by a compare of the chunk's
+    commas and line ends.  With ``width`` None, ``parse_columns(...,
+    whole=True)`` counts the cells instead."""
     text = "".join(lines)
-    skeleton = text.encode().translate(None, _NOT_SKELETON)
-    if not text.endswith("\n"):        # the last line of the file
-        skeleton += b"\n"
-    if skeleton != (b"," * (width - 1) + b"\n") * len(lines):
-        raise ValueError("a line is not plain")
+    for char in _NOT_PLAIN:
+        if char in text:
+            raise ValueError("a line is not plain")
+    if width is not None:
+        skeleton = text.encode().translate(None, _NOT_SKELETON)
+        if not text.endswith("\n"):        # the last line of the file
+            skeleton += b"\n"
+        if skeleton != (b"," * (width - 1) + b"\n") * len(lines):
+            raise ValueError("a line is not plain")
+    # no line is longer than csv's field limit: from each line's start,
+    # the next `limit` characters hold its end, or all the text left
     limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, lines)) > limit:
-        raise ValueError("a cell may be too long for csv")
+    start = 0
+    while len(text) - start > limit:
+        end = text.rfind("\n", start, start + limit)
+        if end < 0:
+            raise ValueError("a line may be too long for csv")
+        start = end + 1
 
 
 def _raising(exc):
@@ -148,9 +187,12 @@ def read_columns(fh, width, fast, slow):
     """Read the data rows of ``fh`` (positioned after its header) into
     column arrays.
 
-    ``fast(lines, first_row)`` parses one plain chunk, given as its lines
-    (see ``_plain_cells``), and returns a sequence of arrays; it raises
-    ValueError or OverflowError to hand the chunk over to ``slow``.
+    ``fast(lines, first_row)`` parses one plain chunk, given as its lines,
+    and returns a sequence of arrays; it raises ValueError or
+    OverflowError to hand the chunk over to ``slow``.  ``_plain_cells``
+    checks each chunk for ``width`` cells to a line; a ``width`` of None
+    leaves that count to ``fast``, as ``parse_columns(..., whole=True)``
+    makes it.
     ``slow(rows, first_row, parts)`` parses ``csv.reader`` rows from data row
     ``first_row`` (row 1 is the first data row) to the end of the file and
     returns a sequence of arrays; ``parts`` holds what ``fast`` returned for
@@ -237,10 +279,12 @@ def read_table(fh, width, columns, t_from, gap):
     """
     (_, it, _), *rest = columns
     first_t = t_from
+    whole = every_cell([i for _, i, _ in columns], width)
 
     def fast(lines, first):
         nonlocal first_t
-        t, *parsed = parse_columns(lines, [(i, p) for _, i, p in columns])
+        t, *parsed = parse_columns(lines, [(i, p) for _, i, p in columns],
+                                   whole)
         if t_from is None and first == 1:
             first_t = int(t[0])
         start = first_t + first - 1
@@ -269,7 +313,7 @@ def read_table(fh, width, columns, t_from, gap):
         return [np.asarray(out, dtype=_DTYPES.get(parse, bool))
                 for out, (_, _, parse) in zip(parsed, rest)]
 
-    return read_columns(fh, width, fast, slow)
+    return read_columns(fh, None if whole else width, fast, slow)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +371,10 @@ def _ryu_table():
 
 def _shortest(x):
     """The shortest digits that read back as each value of the float64
-    array ``x``, the closest to it among them: (digits, exponent, general)
-    with value = digits * 10**exponent, by the common case of Ryu (Adams,
-    "Ryu: fast float-to-string conversion", PLDI 2018) in uint64 lanes.
+    array ``x``, the closest to it among them: (digits, exponent, count,
+    general) with value = digits * 10**exponent and ``count`` the number of
+    digits, by the common case of Ryu (Adams, "Ryu: fast float-to-string
+    conversion", PLDI 2018) in uint64 lanes.
 
     ``general`` marks the lanes the common case does not cover, whose
     digits are wrong: 0.0, subnormals, inf, nan, |x| >= 2**54 and
@@ -381,30 +426,45 @@ def _shortest(x):
     scale = _POW10[removed]
     digits = vr // scale
     digits += ((vr - digits * scale >= _HALF[removed])
-               | (digits == vm // scale))
-    return digits, e10[biased] + removed, general
+               | (digits == vm // scale))     # so digits >= 1, as vr >= vm
+    # the count of digits: floor(log10(2**b)) + 1 for b = floor(log2(digits)),
+    # read off its float64 exponent (rounding up to 2**(b + 1) passes no
+    # power of 10), and one more where digits reaches the next power of 10
+    log2 = (digits.astype(np.float64).view(np.uint64)
+            >> np.uint64(52)).astype(np.int32) - 1023
+    count = np.minimum((log2 * 78913 >> 18) + 1, 19)
+    count += digits >= _POW10[count]
+    return digits, e10[biased] + removed, count.astype(np.int8), general
 
 
 #: the byte rows of a float cell: sign, "0.000", 17 digits and a point
 #: among them (18 rows), and "e+ddd"
 _FLOAT_ROWS = 29
 _LEAD = np.frombuffer(b"0.000", np.uint8)[:, None]
+_LEAD_ROWS = np.arange(5, dtype=np.int8)[:, None]
 _DIGIT_ROWS = np.arange(18, dtype=np.int8)[:, None]
 
 
-def _float_rows(x):
+def _float_rows(x, out=None):
     """The cells of the float64 array ``x`` as ``repr`` writes them, one
-    column of ``_FLOAT_ROWS`` bytes per value, 0 where a cell is shorter.
-    The lanes that ``_shortest`` leaves to Ryu's general case go to
-    ``repr``, in one batch."""
-    digits, exp10, general = _shortest(x)
-    count = np.searchsorted(_POW10, digits, side="right").astype(np.int8)
+    column of ``_FLOAT_ROWS`` bytes per value, 0 where a cell is shorter,
+    written into ``out`` (a zeroed uint8 array of that shape) or a new
+    array, which is returned.  Rows that no value takes are left 0: the
+    sign when none is negative, "0.000" when none has leading zeros, and
+    "e+ddd" when none takes the exponent form.  The lanes that
+    ``_shortest`` leaves to Ryu's general case go to ``repr``, in one
+    batch."""
+    digits, exp10, count, general = _shortest(x)
     point = count + exp10                  # digits before the point
     sci = (point <= -4) | (point > 16)     # repr's exponent form
     lead = ~sci & (point <= 0)             # "0." and -point zeros first
-    out = np.zeros((_FLOAT_ROWS, x.size), np.uint8)
-    out[0] = np.signbit(x) * np.uint8(45)
-    out[1:6] = _LEAD * (lead & (np.arange(5)[:, None] < 2 - point))
+    if out is None:
+        out = np.zeros((_FLOAT_ROWS, x.size), np.uint8)
+    negative = np.signbit(x)
+    if negative.any():
+        np.multiply(negative, np.uint8(45), out=out[0])
+    if lead.any():
+        np.multiply(_LEAD, lead & (_LEAD_ROWS < 2 - point), out=out[1:6])
     # the digits padded to 17, in rows 1-17 between two 0 rows, worked out
     # from uint32 halves of 9 and 8 digits
     body = np.zeros((19, x.size), np.uint8)
@@ -415,7 +475,8 @@ def _float_rows(x):
         part = part.astype(np.uint32)
         for k in rows:
             head = part // np.uint32(10)
-            body[k] = part - head * np.uint32(10)
+            np.subtract(part, head * np.uint32(10), out=body[k],
+                        casting="unsafe")
             part = head
     body[1:18] += np.uint8(48)
     body[1:18] *= _DIGIT_ROWS[:17] < count
@@ -424,16 +485,19 @@ def _float_rows(x):
     # integer value is a general lane; 18 is no point
     dot = np.where(sci, np.where(count > 1, 1, 18),
                    np.where(lead, 18, point)).astype(np.int8)
-    k = _DIGIT_ROWS
-    out[6:24] = (body[1:] * (k < dot) + body[:-1] * (k > dot)
-                 + np.uint8(46) * (k == dot))
-    power = point - 1
-    size = np.abs(power)
-    out[24] = sci * np.uint8(101)
-    out[25] = sci * np.where(power < 0, 45, 43)
-    out[26] = (sci & (size >= 100)) * (48 + size // 100)
-    out[27] = sci * (48 + size // 10 % 10)
-    out[28] = sci * (48 + size % 10)
+    number = out[6:24]
+    np.multiply(body[1:], _DIGIT_ROWS < dot, out=number)
+    shifted = np.multiply(body[:-1], _DIGIT_ROWS > dot)
+    number += shifted
+    number += np.multiply(_DIGIT_ROWS == dot, np.uint8(46), out=shifted)
+    if sci.any():
+        power = point - 1
+        size = np.abs(power)
+        out[24] = sci * np.uint8(101)
+        out[25] = sci * np.where(power < 0, 45, 43)
+        out[26] = (sci & (size >= 100)) * (48 + size // 100)
+        out[27] = sci * (48 + size // 10 % 10)
+        out[28] = sci * (48 + size % 10)
     if general.any():
         text = np.array(list(map(repr, x[general].tolist())),
                         dtype=f"S{_FLOAT_ROWS}")
@@ -441,51 +505,78 @@ def _float_rows(x):
     return out
 
 
-def _int_rows(column):
-    """The cells of the integer array ``column`` as byte rows, one column
-    per value: a sign row and one row per digit of the largest magnitude,
-    0 in place of leading zeros."""
+def _int_height(column) -> int:
+    """The byte rows of the cells of the integer array ``column``: a sign
+    row and one row per digit of its largest magnitude."""
+    return 1 + len(str(max(int(column.max()), -int(column.min()))))
+
+
+def _int_rows(column, out):
+    """Write the cells of the integer array ``column`` into ``out``, a
+    zeroed uint8 array of ``_int_height(column)`` rows and one column per
+    value, 0 in place of leading zeros; the sign row stays 0 when no value
+    is negative."""
     if column.dtype.kind == "u":
         rest = column.astype(np.uint64)
     else:
         rest = np.abs(column.astype(np.int64)).view(np.uint64)  # -2**63 too
+    negative = column < 0
+    if negative.any():
+        np.multiply(negative, np.uint8(45), out=out[0])
     count = np.maximum(np.searchsorted(_POW10, rest, side="right"), 1)
-    width = int(count.max())
-    out = np.empty((width + 1, column.size), np.uint8)
-    out[0] = (column < 0) * np.uint8(45)
+    width = out.shape[0] - 1
     for k in range(width, 0, -1):
         head = rest // _TEN
-        out[k] = rest - head * _TEN
+        np.subtract(rest, head * _TEN, out=out[k], casting="unsafe")
         rest = head
     out[1:] += np.uint8(48)
     out[1:] *= np.arange(width - 1, -1, -1)[:, None] < count
-    return out
 
 
-def _numeric_lines(chunk) -> str:
-    """The CSV lines of equal-length float, integer and bool arrays: one
-    byte matrix holding every cell and separator, 0 bytes dropped."""
-    n = len(chunk[0])
-    comma = np.full((1, n), 44, np.uint8)
-    rows = []
-    for column in chunk:
+def _numeric_lines(chunk) -> bytes:
+    """The CSV lines of equal-length float, integer and bool arrays, as
+    ASCII: one zeroed byte matrix, a row per byte of a cell or separator
+    and a column per line, which each array fills in place.  Its rows that
+    no line uses are dropped before the transpose, and its 0 bytes after."""
+    heights = [_FLOAT_ROWS if column.dtype.kind == "f"
+               else 1 if column.dtype.kind == "b"
+               else _int_height(column) for column in chunk]
+    matrix = np.zeros((sum(heights) + len(chunk), len(chunk[0])), np.uint8)
+    row = 0
+    for column, height in zip(chunk, heights):
+        block = matrix[row:row + height]
         if column.dtype.kind == "f":
-            rows.append(_float_rows(
-                np.ascontiguousarray(column, dtype=np.float64)))
+            _float_rows(np.ascontiguousarray(column, dtype=np.float64),
+                        out=block)
         elif column.dtype.kind == "b":
-            rows.append(column.astype(np.uint8)[None] + np.uint8(48))
+            np.add(column.view(np.uint8), np.uint8(48), out=block[0])
         else:
-            rows.append(_int_rows(column))
-        rows.append(comma)
-    rows[-1] = np.full((1, n), 10, np.uint8)
-    matrix = np.ascontiguousarray(np.concatenate(rows).T)
-    return matrix[matrix != 0].tobytes().decode("ascii")
+            _int_rows(column, block)
+        row += height
+        matrix[row] = 44
+        row += 1
+    matrix[-1] = 10
+    lines = np.ascontiguousarray(matrix[matrix.any(axis=1)].T)
+    return lines[lines != 0].tobytes()
+
+
+def _byte_writer(fh):
+    """A function that writes ASCII bytes to the text file ``fh``: to its
+    binary buffer, after flushing the text, when ``fh`` encodes ASCII as
+    itself, else decoded."""
+    buffer = getattr(fh, "buffer", None)
+    if buffer is not None and codecs.lookup(fh.encoding).name in (
+            "utf-8", "ascii"):
+        fh.flush()
+        return buffer.write
+    return lambda data: fh.write(data.decode("ascii"))
 
 
 def write_columns(fh, header, columns):
     """Write ``header`` and the rows of equal-length ``columns`` to ``fh``,
-    byte for byte as ``csv.writer(fh, lineterminator="\\n")`` would, with
-    the cells of ``_format_cell``."""
+    a text file opened with ``newline=""`` as ``csv`` needs, byte for byte
+    as ``csv.writer(fh, lineterminator="\\n")`` would, with the cells of
+    ``_format_cell``."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     # numeric arrays never need quoting; the byte path reads floats as
@@ -494,9 +585,12 @@ def write_columns(fh, header, columns):
                   and column.dtype.kind in "fbiu"
                   and column.dtype.itemsize <= 8 for column in columns)
     n = min(map(len, columns), default=0)
+    if numeric:
+        write = _byte_writer(fh)
+        for lo in range(0, n, NUMERIC_ROWS):
+            hi = min(lo + NUMERIC_ROWS, n)
+            write(_numeric_lines([column[lo:hi] for column in columns]))
+        return
     for lo in range(0, n, CHUNK_ROWS):
         chunk = [column[lo:min(lo + CHUNK_ROWS, n)] for column in columns]
-        if numeric:
-            fh.write(_numeric_lines(chunk))
-        else:
-            writer.writerows(zip(*map(cells, chunk)))
+        writer.writerows(zip(*map(cells, chunk)))

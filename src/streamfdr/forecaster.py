@@ -22,7 +22,7 @@ from .simulation import SIDEDNESS, to_pvalue
 
 SD_FLOOR = 1e-12
 #: window cells per block of the rolling fit, which bounds its temporaries
-_BLOCK_CELLS = 1 << 18
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass
@@ -89,9 +89,10 @@ def ingest_csv(path, value_columns: Optional[Sequence[str]] = None,
         columns = [(idx, float) for idx in value_idx]
         if label_idx is not None:
             columns.append((label_idx, csvio.label))
+        whole = csvio.every_cell([idx for idx, _ in columns], width)
 
         def fast(lines, first):
-            parsed = csvio.parse_columns(lines, columns)
+            parsed = csvio.parse_columns(lines, columns, whole)
             values = np.column_stack(parsed[:len(value_idx)])
             if not np.isfinite(values).all():   # the row loop fills or refuses
                 raise ValueError("a value is not finite")
@@ -146,7 +147,8 @@ def ingest_csv(path, value_columns: Optional[Sequence[str]] = None,
                 return (values,)
             return values, np.asarray(labels, dtype=bool)
 
-        values, *labels = csvio.read_columns(fh, width, fast, slow)
+        values, *labels = csvio.read_columns(
+            fh, None if whole else width, fast, slow)
     return SeriesFrame(values=values, columns=list(value_columns),
                        labels=labels[0] if labels and len(values) else None)
 
@@ -174,12 +176,22 @@ def rolling_gaussian_pvalues(series, window: int, sidedness: str = "two",
     windows = sliding_window_view(x, window)[:-1]    # history for rows window..n-1
     mean = np.empty(n - window)
     sd = np.empty(n - window)
-    # block by block: each window's sums are the same as in one pass
+    # block by block: each window's sums are the same as in one pass.  The
+    # steps are those of ndarray.mean and ndarray.std(ddof=1), which sum
+    # each window the same way; the deviations go to one buffer
     rows = max(1, _BLOCK_CELLS // window)
+    deviations = np.empty((min(rows, n - window), window))
     for lo in range(0, n - window, rows):
         block = windows[lo:lo + rows]
-        mean[lo:lo + rows] = block.mean(axis=-1)
-        sd[lo:lo + rows] = block.std(axis=-1, ddof=1)
+        hi = lo + block.shape[0]
+        np.add.reduce(block, axis=-1, out=mean[lo:hi])
+        mean[lo:hi] /= window
+        dev = deviations[:hi - lo]
+        np.subtract(block, mean[lo:hi, None], out=dev)
+        np.multiply(dev, dev, out=dev)
+        np.add.reduce(dev, axis=-1, out=sd[lo:hi])
+    sd /= window - 1
+    np.sqrt(sd, out=sd)
     sd = np.maximum(sd, sd_floor)
     resid = (x[window:] - mean) / sd
     p[window:] = to_pvalue(resid, sidedness)

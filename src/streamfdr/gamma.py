@@ -25,11 +25,12 @@ repaired by a global rescale if ever violated (for a base summing to at most
 bases get the same safety net).
 
 ``discounted_sums`` runs that recurrence, y_t = delta * y_{t-1} + x_t, over
-a whole array; the controllers' ``run_array`` and the verifier use it.  It
-rounds every step as the scalar loop does, so its results are bit-identical
-to that loop (and to ``scipy.signal.lfilter([1], [1, -delta], x)``).  It
-imports scipy's LAPACK on its first call, so building and stepping a
-controller imports no scipy.
+a whole array, or down both columns of a pair in one LAPACK call; the
+controllers' ``run_array`` and the verifier run their spend and rejection
+series that way.  It rounds every step as the scalar loop does, so its
+results are bit-identical to that loop (and to
+``scipy.signal.lfilter([1], [1, -delta], x)``).  It imports scipy's LAPACK
+on its first call, so building and stepping a controller imports no scipy.
 
 Instances are immutable after construction and safe to share across workers.
 """
@@ -47,8 +48,10 @@ DEFAULT_HORIZON = 1_000_000
 _SUM_TOL = 1e-12
 
 
-def discounted_sums(values, delta: float, start: float = 0.0) -> np.ndarray:
-    """y_t = delta * y_{t-1} + x_t for every t, from y_0 = delta * start + x_0.
+def discounted_sums(values, delta: float, start=0.0) -> np.ndarray:
+    """y_t = delta * y_{t-1} + x_t for every t, from y_0 = delta * start + x_0,
+    down a 1-d ``values`` or down each column of a 2-d one (``start`` then
+    a number or one per column).
 
     Each step rounds as the scalar loop ``y = delta * y + x`` does, so the
     result equals that loop, and ``lfilter([1], [1, -delta], x,
@@ -57,29 +60,33 @@ def discounted_sums(values, delta: float, start: float = 0.0) -> np.ndarray:
     delta <= 1 keeps it from pivoting, its elimination computes
     x_t - (-delta) * y_{t-1}, which rounds as delta * y_{t-1} + x_t does, and
     its back pass divides by 1 and subtracts 0 * y_{t+1}, exact for finite
-    values.  With an inf or NaN that 0 * y_{t+1} would be NaN and reach
-    earlier rows, so a non-finite result is recomputed by a scalar loop in
-    lfilter's own form, where a non-finite value at row k reaches no row
-    before k.
+    values.  The columns of a 2-d input are the right-hand sides of one
+    call, each taking the operations of its own.  With an inf or NaN that
+    0 * y_{t+1} would be NaN and reach earlier rows, so a column with a
+    non-finite result is recomputed by a scalar loop in lfilter's own form,
+    where a non-finite value at row k reaches no row before k.
     """
-    y = np.array(values, dtype=np.float64)
-    n = y.size
+    y = np.array(values, dtype=np.float64, order="F")
+    n = y.shape[0]
     if n == 0:
         return y
-    y[0] += delta * start
+    y[0] += delta * np.asarray(start, dtype=np.float64)
     if n == 1:  # dgtsv's wrapper refuses empty off-diagonals
         return y
     from scipy.linalg.lapack import dgtsv  # here: stepping loads no scipy
     y = dgtsv(np.full(n - 1, -delta), np.ones(n), np.zeros(n - 1), y,
               1, 1, 1, 1)[3]
-    if np.isfinite(y).all():
-        # a non-finite input leaves a non-finite value at its own row
-        return y
-    z, out = delta * start, []
-    for x in np.asarray(values, dtype=np.float64).tolist():
-        out.append(z + x)
-        z = 0.0 * x - out[-1] * (-delta)
-    return np.array(out)
+    # a non-finite input leaves a non-finite value at its own row
+    sums = y.reshape(n, -1)
+    starts = np.broadcast_to(start, sums.shape[1]).tolist()
+    x = np.asarray(values, dtype=np.float64).reshape(n, -1)
+    for j in np.flatnonzero(~np.isfinite(sums).all(axis=0)).tolist():
+        z, out = delta * starts[j], []
+        for v in x[:, j].tolist():
+            out.append(z + v)
+            z = 0.0 * v - out[-1] * (-delta)
+        sums[:, j] = out
+    return y
 
 
 def _lord_default_raw(t: np.ndarray) -> np.ndarray:
@@ -230,8 +237,7 @@ class DecayedGammaSequence:
     is non-increasing, so they are gamma_1..gamma_k, and every later gtilde_t
     is exactly 1 - delta (times ``rescale``), which is ``floor`` bit for
     bit.  So only that head is stored: ``_padded`` is
-    [0, gtilde_1..gtilde_k, floor], lookups clip to index k + 1, and
-    ``table`` materialises all H weights on demand.
+    [0, gtilde_1..gtilde_k, floor], and lookups clip to index k + 1.
 
     Feasibility.  The discounted sums A(T) = delta * A(T-1) + gtilde_T must
     stay <= 1 for every T <= H.  The scan rounds each step as the scalar loop
@@ -285,14 +291,6 @@ class DecayedGammaSequence:
     @property
     def horizon(self) -> int:
         return self.base.horizon
-
-    @property
-    def table(self) -> np.ndarray:
-        """gtilde_1..gtilde_H as a read-only array, built on each access."""
-        table = np.full(self.base.horizon, self.floor)
-        table[:self._head_size] = self._padded[1:-1]
-        table.flags.writeable = False
-        return table
 
     def weight(self, t: int) -> float:
         """gtilde_t as a scalar (the floor past the head, 0 for t <= 0)."""

@@ -187,9 +187,14 @@ def verify_oracle_and_surplus(log: DecisionLog, config: ControllerConfig,
     # report names them, so numpy need not warn
     with np.errstate(invalid="ignore"):
         num = _oracle_numerator(log, config)
-        spend = _discounted_prefixes(num, config.delta, method)
-        rdelta = _discounted_prefixes(log.rejected.astype(np.float64),
-                                      config.delta, method)
+        if method == "recurrence":
+            # both series in one dgtsv call, each with the bits of its own
+            spend, rdelta = discounted_sums(
+                np.column_stack((num, log.rejected)), config.delta).T
+        else:
+            spend = _discounted_prefixes(num, config.delta, method)
+            rdelta = _discounted_prefixes(log.rejected.astype(np.float64),
+                                          config.delta, method)
         if smooth:
             denom = rdelta + config.eta
         else:

@@ -102,7 +102,7 @@ class TestCriterion2Floors:
 
 
 class TestCriterion3Monotonicity:
-    def test_injected_rejection_never_lowers_thresholds(self):
+    def test_injected_rejection_never_lowers_thresholds(self, clone):
         n = 500
         violations = 0
         checked = 0
@@ -119,7 +119,7 @@ class TestCriterion3Monotonicity:
                 base_alpha = np.empty(n)
                 base_rej = np.empty(n, dtype=bool)
                 for i in range(n):
-                    snaps.append(ctrl.clone())
+                    snaps.append(clone(ctrl))
                     d = ctrl.step(p[i])
                     base_alpha[i] = d.threshold
                     base_rej[i] = d.rejected

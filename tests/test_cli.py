@@ -215,7 +215,7 @@ class TestCsvWriter:
     def test_detect_log_equals_a_csv_writer_rewrite(self, tmp_path):
         # a stream and its decision log over several writer chunks, each
         # float cell as repr writes it, each integer and flag as str does
-        length = 3 * csvio.CHUNK_ROWS + 17
+        length = 3 * csvio.NUMERIC_ROWS + 17
         stream = simulate(tmp_path, length=length, pi1=0.05, seed=4)
         assert run("--output-dir", tmp_path, "detect", "--input", stream,
                    "--method", "lord-decay", "--out", "d") == 0

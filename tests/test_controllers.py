@@ -504,7 +504,7 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="corrupt snapshot: "):
             restore_controller(cfg, json.dumps(snap))
 
-    def test_clone_matches_original(self):
+    def test_clone_matches_original(self, clone):
         rng = np.random.default_rng(59)
         p = rng.random(3000)
         p[::37] = 0.0
@@ -512,7 +512,7 @@ class TestSnapshots:
             cfg = small_config(rule, lag=2 if rule.startswith("lord-dep") else 0)
             ctrl = make_controller(cfg)
             metrics.run_log(ctrl, p[:1500])
-            twin = ctrl.clone()
+            twin = clone(ctrl)
             rest_a = metrics.run_log(ctrl, p[1500:])
             rest_b = metrics.run_log(twin, p[1500:])
             np.testing.assert_array_equal(rest_a.alpha, rest_b.alpha, rule)

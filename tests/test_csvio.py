@@ -381,6 +381,177 @@ class TestChunkBoundaries:
         assert frame.values[csvio.CHUNK_ROWS].tolist() == [last + 0.5, last]
 
 
+def _numbered_rows(n, cells):
+    """``n`` rows of ``cells`` (a format of the row number i), one a line."""
+    return [cells.format(i=i) for i in range(1, n + 1)]
+
+
+class TestPlainCheck:
+    """A table that parses every cell of its lines leaves the count to
+    numpy's reader, which refuses a line with a cell too many or too few; a
+    table with a column it does not parse compares each chunk's commas and
+    line ends.  Either way a bad file exits 2 naming the row, with the
+    message of the row loop."""
+
+    COMMANDS = {
+        "stream": ("t,p,label", "{i},0.5,0", ["detect", "--method", "lord"]),
+        "series": ("x,y,label", "{i},0.5,0",
+                   ["score", "--label-column", "label", "--window", "2"]),
+    }
+
+    def _run(self, tmp_path, capsys, kind, rows):
+        header, _, argv = self.COMMANDS[kind]
+        path = tmp_path / "in.csv"
+        path.write_text(header + "\n" + "".join(r + "\n" for r in rows))
+        code = cli.main(["--output-dir", str(tmp_path), argv[0], "--input",
+                         str(path), *argv[1:], "--out", "out"])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, short_first, fault", [
+        ("stream", True, "row 5: expected 3 columns, got 2"),
+        ("stream", False, "row 9: expected 3 columns, got 2"),
+        ("series", True, "row 5: expected 3 cells, got 2"),
+        ("series", False, "row 5: expected 3 cells, got 4"),
+    ])
+    def test_compensating_cell_counts(self, tmp_path, capsys, kind,
+                                      short_first, fault):
+        # one line a cell short and a later one a cell long, or the other
+        # way round: the chunk holds as many commas as a plain one
+        rows = _numbered_rows(20, self.COMMANDS[kind][1])
+        short, long = (5, 9) if short_first else (9, 5)
+        rows[short - 1] = rows[short - 1].rsplit(",", 1)[0]
+        rows[long - 1] += ",0"
+        code, err = self._run(tmp_path, capsys, kind, rows)
+        assert code == 2 and fault in err
+
+    @pytest.mark.parametrize("kind, fault", [
+        ("stream", "row 7: cannot read label from ''"),
+        ("series", "row 7: bad label ''"),
+    ])
+    def test_trailing_empty_cell(self, tmp_path, capsys, kind, fault):
+        rows = _numbered_rows(12, self.COMMANDS[kind][1])
+        rows[6] = "7,0.5,"
+        code, err = self._run(tmp_path, capsys, kind, rows)
+        assert code == 2 and fault in err
+
+    def test_trailing_empty_cell_past_the_parsed_ones(self, tmp_path):
+        # a t,p stream parses two cells; the row loop reads a third, empty
+        # one as an extra cell, and so does the fast path
+        path = tmp_path / "s.csv"
+        path.write_text("t,p\n1,0.25\n2,0.5,\n3,0.75\n")
+        fast = _outcome(cli.read_stream_csv, path)
+        assert fast == _outcome(cli.read_stream_csv, path, slow=True)
+        assert fast[0][2] == np.array([0.25, 0.5, 0.75]).tobytes()
+
+    @pytest.mark.parametrize("header, read, width", [
+        ("t,p,label", cli.read_stream_csv, None),
+        ("t,p,label,note", cli.read_stream_csv, 4),
+        ("reject,p,t,alpha", cli.read_decisions_csv, None),
+        ("x,label", forecaster.ingest_csv, None),
+        ("x,label,x", functools.partial(forecaster.ingest_csv,
+                                        value_columns=["x"]), 3)])
+    def test_only_a_table_with_unparsed_cells_compares_skeletons(
+            self, tmp_path, header, read, width):
+        cells = {"t": "{i}", "p": "0.5", "alpha": "0.1", "reject": "0",
+                 "label": "0", "note": "n", "x": "1.5"}
+        path = tmp_path / "s.csv"
+        path.write_text(header + "\n" + "".join(
+            ",".join(cells[c] for c in header.split(",")).format(i=i) + "\n"
+            for i in range(1, 6)))
+        with mock.patch.object(csvio, "_plain_cells",
+                               wraps=csvio._plain_cells) as check:
+            read(path)
+        assert [c.args[1] for c in check.call_args_list] == [width]
+
+    @pytest.mark.parametrize("bad_line, fault", [
+        ("5,x,0,n", "row 5: cannot read p from 'x'"),
+        ("5,0.5", "row 5: expected 3 columns, got 2"),
+        ("5,0.5,0,n,extra", None),      # the row loop reads extra cells
+        ("5,0.5,0", None),              # and needs no note cell
+    ])
+    def test_a_note_column_keeps_the_skeleton_path(self, tmp_path, capsys,
+                                                   bad_line, fault):
+        stream = tmp_path / "s.csv"
+        rows = _numbered_rows(20, "{i},0.5,0,n")
+        rows[4] = bad_line
+        stream.write_text("t,p,label,note\n" + "\n".join(rows) + "\n")
+        code = cli.main(["--output-dir", str(tmp_path), "detect", "--input",
+                         str(stream), "--method", "lord", "--out", "d"])
+        if fault is None:
+            assert code == 0
+            assert _outcome(cli.read_stream_csv, stream) == _outcome(
+                cli.read_stream_csv, stream, slow=True)
+        else:
+            assert code == 2 and fault in capsys.readouterr().err
+
+    def test_whole_lines_parse_in_any_column_order(self):
+        # a decision log's columns in another order than the parsers'
+        got = csvio.parse_columns(["1,0.5,3,0.25\n", "0,0.75,4,0.5"],
+                                  [(2, int), (1, float), (3, float),
+                                   (0, csvio.flag)], whole=True)
+        assert [column.tolist() for column in got] == [
+            [3, 4], [0.5, 0.75], [0.25, 0.5], [True, False]]
+
+    @pytest.mark.parametrize("text, fault", [
+        ("t,p\n1,0.5\n2,0.5\x1c", "row 2: cannot read p from '0.5\\x1c'"),
+        ('t,p\n1,0.5\n2,0.5"', 'row 2: cannot read p from \'0.5"\''),
+    ])
+    def test_last_character_of_a_file_without_a_line_end(
+            self, tmp_path, capsys, text, fault):
+        stream = tmp_path / "s.csv"
+        stream.write_text(text)
+        assert cli.main(["--output-dir", str(tmp_path), "detect", "--input",
+                         str(stream), "--method", "lord", "--out", "d"]) == 2
+        assert fault in capsys.readouterr().err
+
+    def test_a_line_past_the_field_limit_goes_to_the_row_loop(self, tmp_path):
+        # csv refuses a cell longer than its field limit; numpy's reader
+        # has none, so a chunk with a line that long is not plain
+        rows = _numbered_rows(300, "{i},0.5,0")
+        long = 150
+        rows[long - 1] = f"{long},0.5{'0' * 45},0"
+        path = tmp_path / "s.csv"
+        path.write_text("t,p,label\n" + "\n".join(rows) + "\n")
+        limit = csv.field_size_limit(40)
+        try:
+            with pytest.raises(ValueError, match=(
+                    f"row {long}: field larger than field limit \\(40\\)")):
+                cli.read_stream_csv(path)
+            rows[long - 1] = f"{long},0.5{'0' * 30},0"     # 40 with "\n"
+            path.write_text("t,p,label\n" + "\n".join(rows) + "\n")
+            assert _outcome(cli.read_stream_csv, path) == _outcome(
+                cli.read_stream_csv, path, slow=True)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_crlf_line_in_the_second_chunk(self, tmp_path):
+        # the row loop reads a CRLF line end; the chunk holding it goes there
+        row = csvio.CHUNK_ROWS + 10
+        clean = _stream_text(csvio.CHUNK_ROWS + 100)
+        lines = clean.split("\n")
+        lines[row] += "\r"
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_text("\n".join(lines), newline="")
+        (tmp_path / "clean.csv").write_text(clean)
+        for name in ("clean", "crlf"):
+            assert cli.main(["--output-dir", str(tmp_path), "detect",
+                             "--input", str(tmp_path / f"{name}.csv"),
+                             "--method", "lord-decay", "--out",
+                             f"d-{name}"]) == 0
+        assert ((tmp_path / "d-crlf.csv").read_bytes()
+                == (tmp_path / "d-clean.csv").read_bytes())
+
+    def test_separator_cell_in_the_second_chunk(self, tmp_path, capsys):
+        row = csvio.CHUNK_ROWS + 10
+        path = tmp_path / "s.csv"
+        path.write_text(_stream_text(csvio.CHUNK_ROWS + 100, row,
+                                     f"{row},0.5\x1c,0"))
+        assert cli.main(["--output-dir", str(tmp_path), "detect", "--input",
+                         str(path), "--method", "lord", "--out", "d"]) == 2
+        assert (f"row {row}: cannot read p from '0.5\\x1c'"
+                in capsys.readouterr().err)
+
+
 def _reference_cell(value):
     """A cell as the writer's rules give it to ``csv.writer``: None empty,
     bools as 0/1, floats by ``repr``, integers by ``str``, one at a time."""
@@ -455,6 +626,46 @@ class TestWriter:
         header = ["t", "p", "reject", "note"]
         assert _write_bytes(header, columns) == _csv_writer_bytes(
             header, columns)
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_numeric_chunks_equal_csv_writer(self, tmp_path, chunk):
+        # three write chunks and 17 rows: the float column's negative and
+        # exponent-form lanes, its leading zeros and the integers' signs
+        # come in some chunks and not in others, so each chunk builds and
+        # drops its own rows; the last rows take repr
+        size = chunk or csvio.NUMERIC_ROWS
+        n = 3 * size + 17
+        rng = np.random.default_rng(21)
+        x = 1.0 + 9.0 * rng.random(n)           # d.ddd...: no sign, no "e"
+        second = x[size:2 * size]
+        second[::2] *= -1.0
+        second[1::3] *= 1e-9
+        second[2::5] *= 1e21
+        x[2 * size:] *= 1e-3                    # 0.00ddd...
+        x[-17:] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.0**60,
+                   1e22, 3.0, -2.5, 1e16, 1e-4, 1e-5, 0.1, 123.0, -7e-310,
+                   1.7976931348623157e308]
+        t = np.arange(1, n + 1)
+        t[size:2 * size] *= -1
+        t[-3:] = [-2**63, 2**63 - 1, 0]
+        columns = [t, x, rng.random(n) < 0.5]
+        header = ["t", "x", "flag"]
+        expected = _csv_writer_bytes(header, columns)
+        with mock.patch.object(csvio, "NUMERIC_ROWS", size):
+            cli._write_csv(tmp_path / "w.csv", header, columns)
+            assert _write_bytes(header, columns) == expected
+        assert (tmp_path / "w.csv").read_bytes() == expected.encode()
+        plain = csvio._float_rows(x[:size])
+        assert not plain[:6].any() and not plain[24:].any()
+        assert plain[6:24].any(axis=1).tolist() == [True] * 18
+
+    def test_a_file_of_another_encoding_gets_text(self, tmp_path):
+        columns = [np.arange(3), np.array([0.5, -1e-7, 2.0])]
+        with open(tmp_path / "w.csv", "w", newline="",
+                  encoding="utf-16") as fh:
+            csvio.write_columns(fh, ["t", "x"], columns)
+        assert (tmp_path / "w.csv").read_text(encoding="utf-16") == (
+            _csv_writer_bytes(["t", "x"], columns))
 
     @pytest.mark.parametrize("text", [False, True])
     def test_integers_at_the_extremes(self, text):

@@ -19,6 +19,12 @@ from streamfdr.gamma import (DEFAULT_HORIZON, DecayedGammaSequence,
 H_SMALL = 100_000
 
 
+def _table(seq):
+    """gamma_1..gamma_H of ``seq``, gathered by its lookups: a decayed
+    sequence stores only the weights above its floor."""
+    return seq.weights(np.arange(1, seq.horizon + 1))
+
+
 def _lord_raw_scalar(t: int) -> float:
     return math.log(max(t, 2)) / (t * math.exp(math.sqrt(math.log(t))))
 
@@ -144,7 +150,7 @@ class TestDecayedSequence:
     def test_delta_one_is_identity(self):
         base = lord_gamma(H_SMALL)
         tilde = decayed_gamma(base, 1.0)
-        np.testing.assert_array_equal(tilde.table, base.table)
+        np.testing.assert_array_equal(_table(tilde), base.table)
         assert tilde.floor == 0.0
 
     def test_floor_dominates_far_out(self):
@@ -157,8 +163,8 @@ class TestDecayedSequence:
 
     def test_positive_non_increasing(self):
         tilde = decayed_gamma(lord_gamma(H_SMALL), 0.99)
-        assert np.all(tilde.table > 0.0)
-        assert np.all(np.diff(tilde.table) <= 0.0)
+        assert np.all(_table(tilde) > 0.0)
+        assert np.all(np.diff(_table(tilde)) <= 0.0)
 
     @pytest.mark.parametrize("delta", [0.9, 0.99, 0.999, 1.0])
     def test_feasibility_by_exact_recurrence(self, delta):
@@ -166,7 +172,7 @@ class TestDecayedSequence:
         tilde = decayed_gamma(lord_gamma(H_SMALL), delta)
         acc = 0.0
         worst = 0.0
-        for w in tilde.table:
+        for w in _table(tilde):
             acc = delta * acc + w
             worst = max(worst, acc)
         assert worst <= 1.0 + 1e-12
@@ -203,7 +209,7 @@ class TestVectorLookup:
         idx = np.array([-5, -1, 0, 1, 2, h // 2, h - 1, h, h + 1, h + 2,
                         10 * h + 7], dtype=np.int64)
         # 0 before the table; past it 0, or the floor of a decayed sequence
-        full = np.r_[0.0, seq.table, getattr(seq, "floor", 0.0)]
+        full = np.r_[0.0, _table(seq), getattr(seq, "floor", 0.0)]
         expect = full[np.clip(idx, 0, h + 1)]
         np.testing.assert_array_equal(seq.weights(idx), expect)
         assert [float(w) for w in seq.weights(idx)] == [
@@ -211,9 +217,11 @@ class TestVectorLookup:
 
 
 def _lfilter_sums(values, delta, start=0.0):
-    """The reference: scipy's first-order filter from state delta * start."""
+    """The reference: scipy's first-order filter from state delta * start,
+    down each column of a 2-d ``values``."""
     values = np.asarray(values, dtype=np.float64)
-    return lfilter([1.0], [1.0, -delta], values, zi=[delta * start])[0]
+    zi = np.full((1,) + values.shape[1:], delta * start)
+    return lfilter([1.0], [1.0, -delta], values, axis=0, zi=zi)[0]
 
 
 def _loop_sums(values, delta, start=0.0):
@@ -282,6 +290,35 @@ class TestDiscountedSums:
         np.testing.assert_array_equal(got[:k], discounted_sums(x[:k], delta,
                                                                start))
 
+    @pytest.mark.parametrize("n", [2, 3, 1000, 50_000])
+    @pytest.mark.parametrize("delta", [0.5, 0.99, 1.0])
+    @pytest.mark.parametrize("bad, where", [(None, None)] + [
+        (bad, where) for bad in (math.nan, math.inf, -math.inf)
+        for where in ("first", "middle", "last")])
+    def test_two_columns_equal_two_calls(self, n, delta, bad, where):
+        # one dgtsv call with two right-hand sides gives each column the
+        # bits of its own call, with an inf or NaN in one column or both
+        rng = np.random.default_rng(n)
+        spend = _finite_values(rng, n, 0.1, True)
+        rejected = (rng.random(n) < 0.2).astype(np.float64)
+        if bad is not None:
+            k = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+            spend[k] = bad
+            rejected[n - 1 - k] = bad
+        starts = (0.3, 1.5)
+        got = discounted_sums(np.column_stack((spend, rejected)), delta,
+                              starts)
+        assert got.shape == (n, 2)
+        for column, values, start in zip(got.T, (spend, rejected), starts):
+            assert column.tobytes() == discounted_sums(
+                values, delta, start).tobytes()
+            np.testing.assert_array_equal(
+                column, _lfilter_sums(values, delta, start))
+        one_start = discounted_sums(np.column_stack((spend, rejected)), delta,
+                                    0.7)
+        assert one_start[:, 1].tobytes() == discounted_sums(
+            rejected, delta, 0.7).tobytes()
+
 
 def _lfilter_decayed(base, delta):
     """DecayedGammaSequence's table, rescale and peak as built with lfilter."""
@@ -301,7 +338,7 @@ class TestDecayedBuildBitExact:
         base = lord_gamma(DEFAULT_HORIZON)
         tilde = DecayedGammaSequence(base, delta)
         table, rescale, peak = _lfilter_decayed(base, delta)
-        np.testing.assert_array_equal(tilde.table, table)
+        np.testing.assert_array_equal(_table(tilde), table)
         assert tilde.rescale == rescale == 1.0
         assert tilde.max_decayed_sum == peak
 
@@ -313,7 +350,7 @@ class TestDecayedBuildBitExact:
         tilde = DecayedGammaSequence(base, 0.99)
         table, rescale, peak = _lfilter_decayed(base, 0.99)
         assert 0.3 < rescale < 0.4
-        np.testing.assert_array_equal(tilde.table, table)
+        np.testing.assert_array_equal(_table(tilde), table)
         assert tilde.rescale == rescale
         assert tilde.max_decayed_sum == peak
 
@@ -335,7 +372,7 @@ class TestDecayedBuildBitExact:
             assert [tilde.weight(int(t)) for t in idx[:40]] == full[
                 np.clip(idx[:40], 0, horizon + 1)].tolist()
             assert tilde.weight(horizon + 10) == floor
-            np.testing.assert_array_equal(tilde.table, table)
+            np.testing.assert_array_equal(_table(tilde), table)
             assert (tilde.rescale, tilde.floor, tilde.max_decayed_sum) == (
                 rescale, floor, peak)
 
@@ -356,7 +393,9 @@ class TestDecayedBuildBitExact:
     def test_table_is_read_only(self):
         tilde = decayed_gamma(lord_gamma(H_SMALL), 0.99)
         with pytest.raises(ValueError):
-            tilde.table[0] = 1.0
+            tilde._padded[1] = 1.0
+        tilde.weights(np.arange(1, 4))[0] = 1.0    # a copy
+        assert tilde.weight(1) < 1.0
         with pytest.raises(ValueError):
             lord_gamma(H_SMALL).table[0] = 1.0
 
