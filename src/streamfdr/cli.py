@@ -19,12 +19,14 @@ the manifest reproduces the outputs bit for bit.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -72,9 +74,13 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def write_manifest(path, command: str, resolved: dict, inputs: dict,
+def write_manifest(args, command: str, table: dict, resolved: dict,
                    outputs: dict):
-    _write_json(path, {
+    """Write ``<out>.manifest.json``: the ``resolved`` settings of
+    ``table``, and the digests of the files they name and of ``outputs``."""
+    inputs = {s.digest: resolved[name] for name, s in table.items()
+              if s.digest and resolved[name]}
+    _write_json(_outpath(args, f"{resolved['out']}.manifest.json"), {
         "tool": "streamfdr",
         "tool_version": __version__,
         "command": command,
@@ -145,15 +151,6 @@ def _outpath(args, name: str) -> str:
     return os.path.join(outdir, name)
 
 
-def _config_params(config: ControllerConfig) -> dict:
-    """The rule settings a manifest records; ``config_from_resolved`` reads
-    them back."""
-    params = config.scalar_params()
-    params["method"] = params.pop("rule")
-    del params["gamma_kind"], params["gamma_param"]
-    return params
-
-
 def _read_manifest(path) -> dict:
     """A manifest that records its resolved settings and its outputs."""
     with open(path) as fh:
@@ -168,37 +165,40 @@ def _read_manifest(path) -> dict:
     return manifest
 
 
-#: the types a manifest may give a value, by the type of its default
+# ---------------------------------------------------------------------------
+# settings
+# ---------------------------------------------------------------------------
+
+#: the types a manifest may give a value, by the type of its template
 _TYPES = {float: (int, float), type(None): (int, float, type(None)),
           tuple: (list, tuple)}
 
 
-class _OrNone:
-    """The default of a setting that is None or has the type of ``of``,
+class _OrNone(NamedTuple):
+    """The template of a setting that is None or has the type of ``of``,
     such as a path that may be absent."""
 
-    def __init__(self, of):
-        self.of = of
+    of: object
 
 
-def _has_type(value, default) -> bool:
-    """Whether ``value`` has the type of ``default`` by ``_TYPES`` (a
-    list's items that of ``default[0]``)."""
-    if isinstance(default, _OrNone):
-        return value is None or _has_type(value, default.of)
-    if type(value) not in _TYPES.get(type(default), (type(default),)):
+def _has_type(value, template) -> bool:
+    """Whether ``value`` has the type of ``template`` by ``_TYPES`` (a
+    list's items that of ``template[0]``)."""
+    if isinstance(template, _OrNone):
+        return value is None or _has_type(value, template.of)
+    if type(value) not in _TYPES.get(type(template), (type(template),)):
         return False
     return not isinstance(value, list) or all(
-        _has_type(item, default[0]) for item in value)
+        _has_type(item, template[0]) for item in value)
 
 
-def _setting(record: dict, name: str, default):
-    """``record[name]`` if it has the type of ``default`` (see
+def _setting(record: dict, name: str, template):
+    """``record[name]`` if it has the type of ``template`` (see
     ``_has_type``), else ValueError naming it."""
     if name not in record:
         raise ValueError(f"manifest records no {name!r}")
     value = record[name]
-    if not _has_type(value, default):
+    if not _has_type(value, template):
         raise ValueError(f"manifest records {name!r} as {value!r}")
     return value
 
@@ -207,63 +207,161 @@ def _setting(record: dict, name: str, default):
 _PATH, _NAMES = _OrNone(""), _OrNone(("",))
 
 
-def config_from_resolved(resolved: dict) -> ControllerConfig:
-    """Rebuild a controller config from manifest-resolved parameters."""
+class Setting(NamedTuple):
+    """A setting of a command: its flag ("" if no flag sets it), the template
+    of its type and its flag's default (see ``_has_type``; None is a float
+    or None), the flag's choices and help, and for a file read as an input
+    the name of its digest in the manifest.
+
+    Each command declares its settings once, in a table by name: its flags,
+    the settings its manifest records and what a rerun or verify reads back
+    all come from that table.
+    """
+
+    flag: str
+    template: object
+    choices: Optional[Sequence] = None
+    help: Optional[str] = None
+    required: bool = False
+    digest: Optional[str] = None
+
+    def flag_kwargs(self) -> dict:
+        """The flag's action, or its default, type and choices."""
+        t = self.template
+        t = t.of if isinstance(t, _OrNone) else t
+        if isinstance(t, bool):
+            return {"action": "store_true"}
+        return {"default": t if t is self.template else None,
+                "choices": self.choices, "type": float if t is None
+                else str if isinstance(t, tuple) else type(t)}
+
+
+def _resolve(table: dict, args=None, record=None) -> dict:
+    """The settings of ``table`` that a manifest's ``record`` records (a
+    missing or mistyped one is a ValueError naming it), or else the values
+    of its flags in ``args``, a list of names as comma-separated text in
+    which no name may be empty."""
+    if record is not None:
+        return {name: _setting(record, name, s.template)
+                for name, s in table.items()}
+    values = {name: getattr(args, name) for name, s in table.items() if s.flag}
+    for name, s in table.items():
+        if s.template is _NAMES and values[name] is not None:
+            names = values[name] = values[name].split(",")
+            if not all(names):
+                raise ValueError(
+                    f"{s.flag}: empty name in {getattr(args, name)!r}")
+    return values
+
+
+_RULE = ControllerConfig   # a dataclass's class attributes are its defaults
+#: the settings of a rule: ``method`` feeds ControllerConfig.rule, each
+#: other its field of the same name
+_RULE_SETTINGS = {
+    "method": Setting("--method", "", controllers.RULES, required=True),
+    "alpha": Setting("--alpha", _RULE.alpha),
+    "delta": Setting("--delta", _RULE.delta),
+    "eta": Setting("--eta", _RULE.eta),
+    "w0": Setting("--w0", _RULE.w0),
+    "lam": Setting("--lambda", _RULE.lam),
+    "tau": Setting("--tau", _RULE.tau),
+    "lag": Setting("--lag", _RULE.lag,
+                   help="dependency lag for the lord-dep-* rules"),
+    "dependence_correction": Setting(
+        "--dependence-correction", _RULE.dependence_correction,
+        help="divide thresholds by the harmonic number q(t)"),
+    "lag_decay_exponent": Setting(
+        "--lag-decay-exponent", _RULE.lag_decay_exponent,
+        help="also delay the decay exponent by the lag "
+             "(larger thresholds, weaker certificate)"),
+    "prune_epsilon": Setting("--prune-epsilon", _RULE.prune_epsilon),
+    "horizon": Setting("", _RULE.horizon),
+}
+
+
+def _config_params(config: ControllerConfig) -> dict:
+    """The rule settings a manifest records; ``_config`` reads them back."""
+    return {name: getattr(config, "rule" if name == "method" else name)
+            for name in _RULE_SETTINGS}
+
+
+def _config(values: dict, report: bool = False) -> ControllerConfig:
+    """The controller config of a command's rule settings and its gamma
+    file, if it has one; ``report`` prints its warnings."""
     from .gamma import GammaSequence
-    rule = _setting(resolved, "method", "")
-    params = {f.name: _setting(resolved, f.name, f.default)
-              for f in fields(ControllerConfig) if f.name not in ("rule", "gamma")}
-    # a sweep's decision logs record no gamma file
-    path = (_setting(resolved, "gamma_file", _PATH)
-            if "gamma_file" in resolved else None)
+    path = values.get("gamma_file")
     gamma = GammaSequence.from_file(path) if path else None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return ControllerConfig(rule=rule, gamma=gamma, **params)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        config = ControllerConfig(rule=values["method"], gamma=gamma, **{
+            name: values[name] for name in _RULE_SETTINGS
+            if name != "method" and name in values})
+    for w in caught if report else ():
+        print(f"warning: {w.message}", file=sys.stderr)
+    return config
 
 
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-def _run_simulate(resolved: dict, args) -> int:
-    config = simulation.GeneratorConfig(
-        **{f.name: _setting(resolved, f.name, f.default)
-           for f in fields(simulation.GeneratorConfig)})
-    prefix = _setting(resolved, "out", "")
-    stream = simulation.generate_stream(config)
+_GENERATOR = simulation.GeneratorConfig
+_SIMULATE = {
+    "length": Setting("--length", _GENERATOR.length),
+    "pi1": Setting("--pi1", _GENERATOR.pi1, required=True,
+                   help="anomaly proportion in [0,1]"),
+    "alternative": Setting("--alternative", _GENERATOR.alternative,
+                           simulation.ALTERNATIVES),
+    "effect": Setting("--effect", _GENERATOR.effect, help="mean shift, or "
+                      "scale factor for --alternative scale"),
+    "sidedness": Setting("--sidedness", _GENERATOR.sidedness,
+                         simulation.SIDEDNESS),
+    "seed": Setting("--seed", _GENERATOR.seed),
+    "ma_lag": Setting("--ma-lag", _GENERATOR.ma_lag, help="moving-average "
+                      "order for locally dependent streams"),
+    "out": Setting("--out", "stream"),
+}
+
+
+def cmd_simulate(args, resolved=None) -> int:
+    resolved = _resolve(_SIMULATE, args, resolved)
+    settings = dict(resolved)
+    prefix = settings.pop("out")
+    stream = simulation.generate_stream(simulation.GeneratorConfig(**settings))
     csv_path = _outpath(args, f"{prefix}.csv")
     _write_csv(csv_path, ["t", "p", "label"],
                [np.arange(1, len(stream) + 1), stream.p, ~stream.is_null])
-    manifest = _outpath(args, f"{prefix}.manifest.json")
-    write_manifest(manifest, "simulate", resolved, {}, {"stream": csv_path})
+    write_manifest(args, "simulate", _SIMULATE, resolved, {"stream": csv_path})
     print(f"wrote {csv_path} ({len(stream)} rows, "
           f"{stream.n_alternatives} anomalies)")
     return EXIT_OK
-
-
-def cmd_simulate(args) -> int:
-    resolved = {f.name: getattr(args, f.name)
-                for f in fields(simulation.GeneratorConfig)}
-    return _run_simulate(dict(resolved, out=args.out), args)
 
 
 # ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
 
-def _run_score(resolved: dict, args) -> int:
-    path = _setting(resolved, "input", "")
-    columns = _setting(resolved, "columns", _NAMES)
-    label_column = _setting(resolved, "label_column", _PATH)
-    forward_fill = _setting(resolved, "forward_fill", False)
-    window = _setting(resolved, "window", 0)
-    sidedness = _setting(resolved, "sidedness", "")
-    prefix = _setting(resolved, "out", "")
-    frame = forecaster.ingest_csv(path, value_columns=columns,
-                                  label_column=label_column,
-                                  forward_fill=forward_fill)
-    p = forecaster.score_frame(frame, window, sidedness)
+_SCORE = {
+    "input": Setting("--input", "", required=True, digest="series"),
+    "columns": Setting("--columns", _NAMES, help="comma-separated value "
+                       "columns (default: all non-label)"),
+    "label_column": Setting("--label-column", _PATH),
+    "window": Setting("--window", 100),
+    "sidedness": _SIMULATE["sidedness"],
+    "forward_fill": Setting("--forward-fill", False, help="impute missing "
+                            "cells from the previous row"),
+    "out": Setting("--out", "scores"),
+}
+
+
+def cmd_score(args, resolved=None) -> int:
+    resolved = _resolve(_SCORE, args, resolved)
+    path, prefix = resolved["input"], resolved["out"]
+    frame = forecaster.ingest_csv(path, value_columns=resolved["columns"],
+                                  label_column=resolved["label_column"],
+                                  forward_fill=resolved["forward_fill"])
+    p = forecaster.score_frame(frame, resolved["window"],
+                               resolved["sidedness"])
     csv_path = _outpath(args, f"{prefix}.csv")
     t = np.arange(1, frame.n_rows + 1)
     if frame.labels is not None:
@@ -271,53 +369,36 @@ def _run_score(resolved: dict, args) -> int:
         print(f"anomaly fraction: {frame.anomaly_fraction():.4%}")
     else:
         _write_csv(csv_path, ["t", "p"], [t, p])
-    manifest = _outpath(args, f"{prefix}.manifest.json")
-    write_manifest(manifest, "score", resolved, {"series": path},
-                   {"pvalues": csv_path})
+    write_manifest(args, "score", _SCORE, resolved, {"pvalues": csv_path})
     print(f"wrote {csv_path} ({frame.n_rows} rows, {frame.n_dims} dims)")
     return EXIT_OK
-
-
-def cmd_score(args) -> int:
-    resolved = {
-        "input": args.input,
-        "columns": args.columns.split(",") if args.columns else None,
-        "label_column": args.label_column,
-        "window": args.window,
-        "sidedness": args.sidedness,
-        "forward_fill": args.forward_fill,
-        "out": args.out,
-    }
-    return _run_score(resolved, args)
 
 
 # ---------------------------------------------------------------------------
 # detect
 # ---------------------------------------------------------------------------
 
-def _detect_resolved(args) -> dict:
-    from .gamma import GammaSequence
-    gamma = GammaSequence.from_file(args.gamma_file) if args.gamma_file else None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        config = ControllerConfig(  # each flag has its field's name
-            rule=args.method, gamma=gamma, **{
-                f.name: getattr(args, f.name) for f in fields(ControllerConfig)
-                if f.name not in ("rule", "gamma", "horizon")})
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    return dict(_config_params(config), input=args.input, out=args.out,
-                resume_from=args.resume_from, save_state=args.save_state,
-                gamma_file=args.gamma_file)
+_DETECT = {
+    "input": Setting("--input", "", required=True, digest="pvalues"),
+    **_RULE_SETTINGS,
+    "gamma_file": Setting("--gamma-file", _PATH, help="custom spending "
+                          "sequence, one weight per line", digest="gamma"),
+    "resume_from": Setting("--resume-from", _PATH, help="controller state "
+                           "snapshot to resume from", digest="state"),
+    "save_state": Setting("--save-state", _PATH, help="write the final "
+                          "controller state to this file"),
+    "out": Setting("--out", "decisions"),
+}
 
 
-def _run_detect(resolved: dict, args) -> int:
-    path = _setting(resolved, "input", "")
-    prefix = _setting(resolved, "out", "")
-    resume_from = _setting(resolved, "resume_from", _PATH)
-    save_state = _setting(resolved, "save_state", _PATH)
-    gamma_file = _setting(resolved, "gamma_file", _PATH)
-    config = config_from_resolved(resolved)
+def cmd_detect(args, resolved=None) -> int:
+    fresh = resolved is None    # a rerun repeats the warnings silently
+    resolved = _resolve(_DETECT, args, resolved)
+    config = _config(resolved, report=fresh)
+    if fresh:
+        resolved.update(_config_params(config))
+    path, prefix = resolved["input"], resolved["out"]
+    resume_from, save_state = resolved["resume_from"], resolved["save_state"]
     p, is_null = read_stream_csv(path)
     if resume_from:
         with open(resume_from) as fh:
@@ -352,20 +433,10 @@ def _run_detect(resolved: dict, args) -> int:
             fh.write(controller.snapshot())
             fh.write("\n")
         outputs["state"] = state_path
-    manifest = _outpath(args, f"{prefix}.manifest.json")
-    inputs = {"pvalues": path}
-    if resume_from:
-        inputs["state"] = resume_from
-    if gamma_file:
-        inputs["gamma"] = gamma_file
-    write_manifest(manifest, "detect", resolved, inputs, outputs)
+    write_manifest(args, "detect", _DETECT, resolved, outputs)
     print(f"wrote {csv_path} ({len(log)} rows, {int(log.rejected.sum())} "
           f"rejections)")
     return EXIT_OK
-
-
-def cmd_detect(args) -> int:
-    return _run_detect(_detect_resolved(args), args)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +460,22 @@ PRESETS = {
     "fig3": {"kind": "burst", "methods": ("saffron", "saffron-decay")},
     "fig6": {"kind": "frontier"},
 }
+
+#: the sweep settings a flag overrides, by the flag's name
+_SWEEP_FLAGS = {"reps": "reps", "length": "length", "workers": "workers",
+                "seed": "seed_base", "alpha": "alpha", "delta": "delta"}
+#: sweep's flags; one that overrides a setting is None unless given
+_SWEEP = {
+    "preset": Setting("--preset", _OrNone(""), sorted(PRESETS)),
+    "config": Setting("--config", _PATH, help="key=value settings file",
+                      digest="config"),
+    **{flag: Setting("--" + flag, _OrNone(_SETTINGS[name]))
+       for flag, name in _SWEEP_FLAGS.items()},
+    "out": Setting("--out", "sweep"),
+}
+#: what a sweep manifest records besides its kind and the kind's settings
+_SWEEP_RECORD = {"preset": _SWEEP["preset"], "out": _SWEEP["out"],
+                 "config_file": _SWEEP["config"]}
 
 
 def _parse_config_file(path) -> dict:
@@ -420,16 +507,17 @@ def _coerce_setting(name: str, text: str):
         raise ValueError(f"sweep setting {name}: cannot read {text!r}") from None
 
 
-def _run_sweep(resolved: dict, args) -> int:
+def cmd_sweep(args, resolved=None) -> int:
+    resolved = _sweep_resolved(args) if resolved is None else resolved
     kind = resolved.get("kind")
     if kind not in _KIND_SETTINGS:
         raise ValueError(f"unknown sweep kind {kind!r}")
     # a rerun reads the kind's settings and no other key of its manifest
     settings = {name: _setting(resolved, name, _SETTINGS[name])
                 for name in _KIND_SETTINGS[kind]}
-    prefix = _setting(resolved, "out", "")
-    resolved = dict(settings, kind=kind, preset=resolved.get("preset"),
-                    out=prefix, config_file=resolved.get("config_file"))
+    resolved = dict(settings, kind=kind,
+                    **_resolve(_SWEEP_RECORD, record=resolved))
+    prefix = resolved["out"]
     cfg = simulation.SweepConfig(**settings)
     burst = simulation.BurstConfig(effect=cfg.effect, alternative=cfg.alternative,
                                    sidedness=cfg.sidedness, seed=cfg.seed_base)
@@ -468,9 +556,7 @@ def _run_sweep(resolved: dict, args) -> int:
         _write_rows(path, list(result.aggregate[0]), result.aggregate)
         outputs = {"frontier": path}
         print(f"wrote {path} ({len(result.aggregate)} rows)")
-    manifest = _outpath(args, f"{prefix}.manifest.json")
-    inputs = {"config": resolved["config_file"]} if resolved["config_file"] else {}
-    write_manifest(manifest, "sweep", resolved, inputs, outputs)
+    write_manifest(args, "sweep", _SWEEP_RECORD, resolved, outputs)
     if failed_cells:
         print(f"error: {len(failed_cells)} sweep cell(s) failed",
               file=sys.stderr)
@@ -487,9 +573,9 @@ def _sweep_resolved(args) -> dict:
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; "
                          f"choose from {', '.join(sorted(PRESETS))}")
-    flags = {"reps": args.reps, "length": args.length, "workers": args.workers,
-             "seed_base": args.seed, "alpha": args.alpha, "delta": args.delta}
-    settings.update((k, v) for k, v in flags.items() if v is not None)
+    settings.update((name, getattr(args, flag))
+                    for flag, name in _SWEEP_FLAGS.items()
+                    if getattr(args, flag) is not None)
     kind = PRESETS[preset]["kind"]
     for name in settings:
         if name not in _KIND_SETTINGS[kind]:
@@ -501,13 +587,21 @@ def _sweep_resolved(args) -> dict:
                 config_file=args.config)
 
 
-def cmd_sweep(args) -> int:
-    return _run_sweep(_sweep_resolved(args), args)
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+_VERIFY = {
+    "input": Setting("--input", "", required=True,
+                     help="decision CSV to verify"),
+    "manifest": Setting("--manifest", "", required=True),
+    "method": Setting("--method", "scratch", ("scratch", "recurrence")),
+    "tol": Setting("--tol", 1e-10),
+    "allow_modified": Setting("--allow-modified", False,
+                              help="skip the manifest digest check"),
+    "out": Setting("--out", _PATH, help="also write a JSON report"),
+}
+
 
 def cmd_verify(args) -> int:
     metrics.check_verify_options(args.tol, args.method)
@@ -515,7 +609,7 @@ def cmd_verify(args) -> int:
     resolved, outputs = manifest["resolved"], manifest["outputs"]
     basename = os.path.basename(args.input)
     if manifest.get("command") == "detect":
-        recorded = outputs.get("decisions", {})
+        recorded, table = outputs.get("decisions", {}), _DETECT
     elif (manifest.get("command") == "sweep"
           and isinstance(resolved.get("logs"), dict)):
         resolved = resolved["logs"].get(basename)
@@ -524,6 +618,7 @@ def cmd_verify(args) -> int:
                 f"manifest does not describe a decision log named {basename!r}")
         recorded = next((o for o in outputs.values()
                          if o.get("file") == basename), {"file": basename})
+        table = _RULE_SETTINGS   # a sweep's logs record no gamma file
     else:
         raise ValueError("manifest does not describe a decision log")
     if recorded.get("file") != basename:
@@ -534,17 +629,13 @@ def cmd_verify(args) -> int:
         raise ValueError(
             "manifest mismatch: decision log digest differs from the "
             "manifest record (pass --allow-modified to verify anyway)")
-    config = config_from_resolved(resolved)
+    config = _config(_resolve(table, record=resolved))
     log = read_decisions_csv(args.input)
     report = metrics.verify_oracle_and_surplus(log, config, tol=args.tol,
                                                method=args.method)
     print(report.summary())
     if args.out:
-        payload = {k: getattr(report, k) for k in (
-            "rule", "steps", "min_surplus", "min_surplus_at", "max_oracle",
-            "max_oracle_at", "oracle_bound", "consistent",
-            "first_violation_at", "passed")}
-        _write_json(_outpath(args, args.out), payload)
+        _write_json(_outpath(args, args.out), asdict(report))
     if not report.passed:
         raise VerificationFailure(report.summary())
     return EXIT_OK
@@ -555,20 +646,34 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_rerun(args) -> int:
+    """Run a manifest's command on the settings it records, not on flags."""
     manifest = _read_manifest(args.manifest)
-    command, resolved = manifest.get("command"), manifest["resolved"]
-    runners = {"simulate": _run_simulate, "score": _run_score,
-               "detect": _run_detect, "sweep": _run_sweep}
-    if command not in runners:
+    command = manifest.get("command")
+    if command not in ("simulate", "score", "detect", "sweep"):
         raise ValueError(f"cannot rerun command {command!r}")
-    return runners[command](resolved, args)
+    return _COMMANDS[command][2](args, manifest["resolved"])
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
+#: each subcommand with a flag for each of its settings: help, settings, run
+_COMMANDS = {
+    "simulate": ("generate a synthetic p-value stream", _SIMULATE,
+                 cmd_simulate),
+    "score": ("rolling-Gaussian p-values from a series CSV", _SCORE,
+              cmd_score),
+    "detect": ("run one decision rule over a p-value CSV", _DETECT,
+               cmd_detect),
+    "sweep": ("run a preset or config-file experiment", _SWEEP, cmd_sweep),
+    "verify": ("recompute oracle/surplus for a log", _VERIFY, cmd_verify),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="streamfdr",
         description="online FDR control for streaming anomaly detection")
@@ -576,83 +681,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"directory for outputs (default: "
                              f"${OUTPUT_DIR_ENV} or the working directory)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a synthetic p-value stream")
-    p.add_argument("--length", type=int, default=20000)
-    p.add_argument("--pi1", type=float, required=True,
-                   help="anomaly proportion in [0,1]")
-    p.add_argument("--alternative", choices=simulation.ALTERNATIVES,
-                   default="mean")
-    p.add_argument("--effect", type=float, default=3.0,
-                   help="mean shift, or scale factor for --alternative scale")
-    p.add_argument("--sidedness", choices=simulation.SIDEDNESS, default="two")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ma-lag", type=int, default=0,
-                   help="moving-average order for locally dependent streams")
-    p.add_argument("--out", default="stream")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("score", help="rolling-Gaussian p-values from a series CSV")
-    p.add_argument("--input", required=True)
-    p.add_argument("--columns", default=None,
-                   help="comma-separated value columns (default: all non-label)")
-    p.add_argument("--label-column", default=None)
-    p.add_argument("--window", type=int, default=100)
-    p.add_argument("--sidedness", choices=simulation.SIDEDNESS, default="two")
-    p.add_argument("--forward-fill", action="store_true",
-                   help="impute missing cells from the previous row")
-    p.add_argument("--out", default="scores")
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("detect", help="run one decision rule over a p-value CSV")
-    p.add_argument("--input", required=True)
-    p.add_argument("--method", required=True, choices=controllers.RULES)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--w0", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--lag", type=int, default=0,
-                   help="dependency lag for the lord-dep-* rules")
-    p.add_argument("--dependence-correction", action="store_true",
-                   help="divide thresholds by the harmonic number q(t)")
-    p.add_argument("--lag-decay-exponent", action="store_true",
-                   help="also delay the decay exponent by the lag "
-                        "(larger thresholds, weaker certificate)")
-    p.add_argument("--prune-epsilon", type=float, default=1e-12)
-    p.add_argument("--gamma-file", default=None,
-                   help="custom spending sequence, one weight per line")
-    p.add_argument("--resume-from", default=None,
-                   help="controller state snapshot to resume from")
-    p.add_argument("--save-state", default=None,
-                   help="write the final controller state to this file")
-    p.add_argument("--out", default="decisions")
-    p.set_defaults(func=cmd_detect)
-
-    p = sub.add_parser("sweep", help="run a preset or config-file experiment")
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    p.add_argument("--config", default=None, help="key=value settings file")
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--length", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--out", default="sweep")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("verify", help="recompute oracle/surplus for a log")
-    p.add_argument("--input", required=True, help="decision CSV to verify")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--method", choices=("scratch", "recurrence"),
-                   default="scratch")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--allow-modified", action="store_true",
-                   help="skip the manifest digest check")
-    p.add_argument("--out", default=None, help="also write a JSON report")
-    p.set_defaults(func=cmd_verify)
-
+    for command, (text, table, func) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, s in table.items():
+            if s.flag:
+                p.add_argument(s.flag, dest=name, required=s.required,
+                               help=s.help, **s.flag_kwargs())
+        p.set_defaults(func=func)
     p = sub.add_parser("rerun", help="re-execute a command from its manifest")
     p.add_argument("manifest")
     p.set_defaults(func=cmd_rerun)
@@ -660,8 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except VerificationFailure:

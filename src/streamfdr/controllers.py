@@ -260,6 +260,9 @@ class ControllerConfig:
         if not (math.isfinite(self.eta) and self.eta > 0.0):
             # every rule's summary divides by R_delta + eta
             raise ValueError("eta must be finite and positive")
+        if self.w0 is not None and not math.isfinite(self.w0):
+            # a rule that ignores w0 still records it, and resumes check it
+            raise ValueError("w0 must be finite")
         if spec.family == "fixed":
             # alpha doubles as the constant threshold; the closed endpoints
             # are meaningful degenerate baselines (reject nothing/everything)

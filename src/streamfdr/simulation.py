@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -173,21 +173,22 @@ def generate_burst_stream(config: BurstConfig) -> Stream:
     return Stream(z=z, p=to_pvalue(z, config.sidedness), is_null=~is_alt)
 
 
-def method_config(method: str, alpha: float = 0.1, delta: float = 0.99,
-                  eta: float = 1.0, lag: int = 0, **overrides) -> ControllerConfig:
+def method_config(method: str, alpha: float = ControllerConfig.alpha,
+                  delta: Optional[float] = ControllerConfig.delta,
+                  eta: float = ControllerConfig.eta,
+                  lag: int = ControllerConfig.lag,
+                  **overrides) -> ControllerConfig:
     """ControllerConfig with sweep-level knobs and per-rule defaults.
 
     ``delta`` is only forwarded to decay rules and ``lag`` only to the
     dependency-aware ones, so building undecayed baselines stays silent.
     """
     spec = controllers.rule_spec(method)
-    kwargs = dict(alpha=alpha, eta=eta)
     if spec.decays:
-        kwargs["delta"] = delta
+        overrides["delta"] = delta
     if spec.lagged:
-        kwargs["lag"] = lag
-    kwargs.update(overrides)
-    return ControllerConfig(rule=method, **kwargs)
+        overrides["lag"] = lag
+    return ControllerConfig(rule=method, alpha=alpha, eta=eta, **overrides)
 
 
 @dataclass

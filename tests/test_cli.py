@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import streamfdr
-from streamfdr import cli, csvio, simulation
+from streamfdr import cli, controllers, csvio, simulation
 
 
 def digest(path):
@@ -92,6 +93,9 @@ class TestDetect:
         ("lord", "--prune-epsilon", "nan"), ("lord", "--prune-epsilon", "inf"),
         ("lord-decay", "--prune-epsilon", "nan"),
         ("lord-decay", "--prune-epsilon", "inf"),
+        # every rule records w0, so none may take a NaN that fails its resume
+        *[(rule, "--w0", value) for rule in controllers.RULES
+          for value in ("nan", "inf")],
     ])
     def test_non_finite_rule_parameter_exits_2(self, tmp_path, capsys, method,
                                                flag, value):
@@ -146,7 +150,9 @@ class TestDetect:
         assert code == cli.EXIT_VALIDATION
         assert f"row {row}:" in capsys.readouterr().err
 
-    def test_resume_matches_uninterrupted(self, tmp_path):
+    def _resumed(self, tmp_path, *flags):
+        """The rows of a detect over a 600-row stream, whole and as two
+        halves, the second resumed from the first's snapshot."""
         stream = simulate(tmp_path, pi1=0.05, length=600)
         text = stream.read_text().splitlines()
         head, tail = text[1:301], text[301:]
@@ -158,23 +164,31 @@ class TestDetect:
                          for i, r in enumerate(tail)]) + "\n")
 
         assert run("--output-dir", tmp_path, "detect", "--input", stream,
-                   "--method", "saffron-decay", "--out", "whole") == 0
+                   *flags, "--out", "whole") == 0
         assert run("--output-dir", tmp_path, "detect", "--input", part1,
-                   "--method", "saffron-decay", "--out", "h1",
-                   "--save-state", "state.json") == 0
+                   *flags, "--out", "h1", "--save-state", "state.json") == 0
         assert run("--output-dir", tmp_path, "detect", "--input", part2,
-                   "--method", "saffron-decay", "--out", "h2",
+                   *flags, "--out", "h2",
                    "--resume-from", tmp_path / "state.json") == 0
+        return [(tmp_path / f"{name}.csv").read_text().splitlines()[1:]
+                for name in ("whole", "h1", "h2")]
 
-        whole = (tmp_path / "whole.csv").read_text().splitlines()[1:]
-        h1 = (tmp_path / "h1.csv").read_text().splitlines()[1:]
-        h2 = (tmp_path / "h2.csv").read_text().splitlines()[1:]
+    def test_resume_matches_uninterrupted(self, tmp_path):
+        whole, h1, h2 = self._resumed(tmp_path, "--method", "saffron-decay")
         assert h1 + h2 == whole
         # the resumed log counts t on from the snapshot, and reads back
         assert h2[0].startswith("301,")
         log = cli.read_decisions_csv(tmp_path / "h2.csv")
         assert log.p.size == 300
 
+    @pytest.mark.parametrize("rule", controllers.RULES)
+    def test_resume_with_every_float_flag(self, tmp_path, rule):
+        # each flag is recorded in the snapshot, which the resume checks
+        whole, h1, h2 = self._resumed(
+            tmp_path, "--method", rule, "--alpha", "0.05", "--delta", "0.9",
+            "--eta", "0.5", "--w0", "0.01", "--lambda", "0.2", "--tau", "0.6",
+            "--prune-epsilon", "1e-9", "--lag", "2")
+        assert h1 + h2 == whole
 
     def test_corrupt_snapshot_exits_2(self, tmp_path, capsys):
         stream = simulate(tmp_path, pi1=0.05, length=300)
@@ -390,6 +404,20 @@ class TestScore:
         p250 = float(lines[251].split(",")[1])
         assert p250 < 1e-10
 
+
+    @pytest.mark.parametrize("columns", ["", "p,", ",p", "p,,label"])
+    def test_empty_column_name_exits_2(self, tmp_path, capsys, columns):
+        # "" once meant every column, t and label among them
+        series = tmp_path / "series.csv"
+        series.write_text("t,p,label\n" + "".join(
+            f"{i + 1},{i / 60!r},0\n" for i in range(60)))
+        out = tmp_path / "out"
+        code = run("--output-dir", out, "score", "--input", series,
+                   "--columns", columns, "--window", "5")
+        assert code == cli.EXIT_VALIDATION
+        assert (f"error: --columns: empty name in {columns!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("cell", ["inf", "1e400", "-inf"])
     def test_infinite_label_exits_2_naming_it(self, tmp_path, capsys, cell):
@@ -886,22 +914,61 @@ class TestSweepSettings:
         # the rerun records only the kind's settings, as a fresh run does
         _same_files(tmp_path / "rerun", tmp_path / "fresh")
 
+    @pytest.mark.parametrize("key, value", [
+        ("config_file", 5), ("preset", ["fig6"]), ("out", None)])
+    def test_mistyped_record_exits_2_before_any_output(self, tmp_path,
+                                                       capsys, key, value):
+        # a config_file of 5 once reached open() as a file descriptor
+        resolved = dict(OLD_RESOLVED, **OLD_KINDS["fig6"])
+        resolved[key] = value
+        manifest = tmp_path / "old.manifest.json"
+        manifest.write_text(json.dumps({"command": "sweep", "inputs": {},
+                                        "outputs": {}, "resolved": resolved}))
+        out = tmp_path / "rerun"
+        assert run("--output-dir", out, "rerun", manifest) == 2
+        assert (f"manifest records {key!r} as {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
-#: per command, the keys its rerun reads besides the rule and generator
-#: settings, each with a value of the wrong type
+
+#: per command, every key its manifest records, each with a value of the
+#: wrong type
 RERUN_KEYS = {
-    "simulate": {"out": 5},
+    "simulate": {"length": 200.0, "pi1": "0.02", "alternative": None,
+                 "effect": True, "sidedness": 2, "seed": 1.5, "ma_lag": False,
+                 "out": 5},
     "score": {"input": 5, "columns": "x0", "label_column": 1,
               "window": "50", "sidedness": None, "forward_fill": 0,
               "out": ["s"]},
     "detect": {"input": None, "out": 7, "resume_from": 3, "save_state": [],
-               "gamma_file": 1.5},
+               "gamma_file": 1.5, "method": 3, "alpha": "0.1", "delta": "x",
+               "eta": True, "w0": [0.05], "lam": "a", "tau": {}, "lag": 1.5,
+               "dependence_correction": 0, "lag_decay_exponent": None,
+               "prune_epsilon": None, "horizon": 1e6},
 }
+#: the rule settings, which a sweep records for each of its decision logs
+RULE_KEYS = {key: value for key, value in RERUN_KEYS["detect"].items()
+             if key not in ("input", "out", "resume_from", "save_state",
+                            "gamma_file")}
+#: what each check reads: a rerun every key of its command's manifest,
+#: verify every key of a detect manifest or the rule settings of a sweep log
+READS = [*[("rerun", command, key) for command, keys in RERUN_KEYS.items()
+           for key in keys],
+         *[("verify", "detect", key) for key in RERUN_KEYS["detect"]],
+         *[("verify", "sweep", key) for key in RULE_KEYS]]
+
+
+@pytest.fixture(scope="module")
+def fig3_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fig3")
+    assert run("--output-dir", out, "sweep", "--preset", "fig3",
+               "--out", "s") == 0
+    return out
 
 
 class TestRerunReadsEveryKey:
-    """A manifest that lacks a key its rerun reads, or records it with the
-    wrong type, exits 2 naming it before any output is written."""
+    """A manifest that lacks a key a rerun or verify reads, or records it
+    with the wrong type, exits 2 naming it before any output is written."""
 
     def _manifest(self, tmp_path, command):
         stream = simulate(tmp_path, length=200)
@@ -919,37 +986,136 @@ class TestRerunReadsEveryKey:
                    "--window", "20", "--out", "sc") == 0
         return tmp_path / "sc.manifest.json"
 
-    def _rerun_edited(self, tmp_path, capsys, command, edit):
-        manifest = self._manifest(tmp_path, command)
-        record = json.loads(manifest.read_text())
-        edit(record["resolved"])
+    def _edited(self, tmp_path, capsys, check, command, edit, fig3_run):
+        if command == "sweep":
+            log = fig3_run / "s.saffron.csv"
+            record = json.loads((fig3_run / "s.manifest.json").read_text())
+            edit(record["resolved"]["logs"][log.name])
+        else:
+            manifest = self._manifest(tmp_path, command)
+            log = tmp_path / "det.csv"
+            record = json.loads(manifest.read_text())
+            edit(record["resolved"])
+        manifest = tmp_path / "edited.manifest.json"
         manifest.write_text(json.dumps(record))
         capsys.readouterr()
-        code = run("--output-dir", tmp_path / "again", "rerun", manifest)
+        argv = (["rerun", manifest] if check == "rerun" else
+                ["verify", "--input", log, "--manifest", manifest,
+                 "--out", "report.json"])
+        code = run("--output-dir", tmp_path / "again", *argv)
         assert not (tmp_path / "again").exists()
         return code, capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, key", [
-        (command, key) for command, keys in RERUN_KEYS.items()
-        for key in keys])
-    def test_missing_key_exits_2_naming_it(self, tmp_path, capsys, command,
-                                           key):
-        code, err = self._rerun_edited(tmp_path, capsys, command,
-                                       lambda resolved: resolved.pop(key))
+    @pytest.mark.parametrize("command", list(RERUN_KEYS))
+    def test_every_recorded_key_is_read(self, tmp_path, command):
+        resolved = json.loads(
+            self._manifest(tmp_path, command).read_text())["resolved"]
+        assert set(resolved) == set(RERUN_KEYS[command])
+
+    def test_every_rule_setting_of_a_sweep_log_is_read(self, fig3_run):
+        resolved = json.loads((fig3_run / "s.manifest.json").read_text())
+        for logged in resolved["resolved"]["logs"].values():
+            assert set(logged) == set(RULE_KEYS)
+
+    @pytest.mark.parametrize("check, command, key", READS)
+    def test_missing_key_exits_2_naming_it(self, tmp_path, capsys, fig3_run,
+                                           check, command, key):
+        code, err = self._edited(tmp_path, capsys, check, command,
+                                 lambda resolved: resolved.pop(key), fig3_run)
         assert code == cli.EXIT_VALIDATION
         assert f"manifest records no {key!r}" in err
 
-    @pytest.mark.parametrize("command, key", [
-        (command, key) for command, keys in RERUN_KEYS.items()
-        for key in keys])
-    def test_mistyped_key_exits_2_naming_it(self, tmp_path, capsys, command,
-                                            key):
-        value = RERUN_KEYS[command][key]
-        code, err = self._rerun_edited(
-            tmp_path, capsys, command,
-            lambda resolved: resolved.update({key: value}))
+    @pytest.mark.parametrize("check, command, key", READS)
+    def test_mistyped_key_exits_2_naming_it(self, tmp_path, capsys, fig3_run,
+                                            check, command, key):
+        value = RERUN_KEYS["detect" if command == "sweep" else command][key]
+        code, err = self._edited(
+            tmp_path, capsys, check, command,
+            lambda resolved: resolved.update({key: value}), fig3_run)
         assert code == cli.EXIT_VALIDATION
         assert f"manifest records {key!r} as {value!r}" in err
+
+
+def test_declarations_record_every_config_field():
+    fields = dataclasses.fields
+    rule = {f.name for f in fields(controllers.ControllerConfig)}
+    assert set(cli._RULE_SETTINGS) == rule - {"rule", "gamma"} | {"method"}
+    generator = {f.name for f in fields(simulation.GeneratorConfig)}
+    assert set(cli._SIMULATE) == generator | {"out"}
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+#: a run of each case and the resolved settings its manifest records, as
+#: the commit before one declaration per command wrote them; IN stands for
+#: the directory of the inputs
+IN = "<inputs>"
+_RULE_FLAGS = ["--method", "addis-decay", "--alpha", "0.05", "--delta",
+               "0.95", "--eta", "0.5", "--w0", "0.01", "--lambda", "0.2",
+               "--tau", "0.6", "--prune-epsilon", "1e-9"]
+_RULE_RESOLVED = {
+    "alpha": 0.05, "delta": 0.95, "dependence_correction": False,
+    "eta": 0.5, "gamma_file": None, "horizon": 1000000,
+    "input": f"{IN}/old.csv", "lag": 0, "lag_decay_exponent": False,
+    "lam": 0.2, "method": "addis-decay", "prune_epsilon": 1e-09,
+    "resume_from": None, "save_state": None, "tau": 0.6, "w0": 0.01}
+OLD_MANIFESTS = {
+    "simulate": (
+        ["simulate", "--pi1", "0.05", "--length", "400", "--alternative",
+         "scale", "--effect", "2.5", "--sidedness", "upper", "--seed", "7",
+         "--ma-lag", "1", "--out", "old"],
+        {"alternative": "scale", "effect": 2.5, "length": 400, "ma_lag": 1,
+         "out": "old", "pi1": 0.05, "seed": 7, "sidedness": "upper"}),
+    "score": (
+        ["score", "--input", f"{IN}/series.csv", "--columns", "x0,x1",
+         "--label-column", "label", "--window", "20", "--sidedness", "lower",
+         "--forward-fill", "--out", "oldsc"],
+        {"columns": ["x0", "x1"], "forward_fill": True,
+         "input": f"{IN}/series.csv", "label_column": "label",
+         "out": "oldsc", "sidedness": "lower", "window": 20}),
+    "detect": (
+        ["detect", "--input", f"{IN}/old.csv", *_RULE_FLAGS,
+         "--save-state", "old.state", "--out", "olddet"],
+        dict(_RULE_RESOLVED, out="olddet", save_state="old.state")),
+    "detect-resumed": (
+        ["detect", "--input", f"{IN}/old.csv", *_RULE_FLAGS,
+         "--resume-from", f"{IN}/old.state", "--out", "oldres"],
+        dict(_RULE_RESOLVED, out="oldres", resume_from=f"{IN}/old.state")),
+    "detect-lagged": (
+        ["detect", "--input", f"{IN}/old.csv", "--method", "lord-dep-decay",
+         "--lag", "3", "--dependence-correction", "--lag-decay-exponent",
+         "--out", "olddep"],
+        {"alpha": 0.1, "delta": 0.99, "dependence_correction": True,
+         "eta": 1.0, "gamma_file": None, "horizon": 1000000,
+         "input": f"{IN}/old.csv", "lag": 3, "lag_decay_exponent": True,
+         "lam": None, "method": "lord-dep-decay", "out": "olddep",
+         "prune_epsilon": 1e-12, "resume_from": None, "save_state": None,
+         "tau": None, "w0": 0.05}),
+}
+
+
+@pytest.mark.parametrize("case", list(OLD_MANIFESTS))
+def test_old_manifest_reruns_to_the_same_data(tmp_path, case):
+    inputs = tmp_path / "in"
+
+    def local(argv):
+        return [a.replace(IN, str(inputs)) for a in argv]
+
+    for name in ("simulate", "detect"):   # old.csv, then old.state
+        assert run("--output-dir", inputs, *local(OLD_MANIFESTS[name][0])) == 0
+    (inputs / "series.csv").write_text("x0,x1,label\n" + "".join(
+        f"{i % 7}.5,{i % 3},{int(i % 50 == 0)}\n" for i in range(200)))
+    argv, resolved = OLD_MANIFESTS[case]
+    resolved = {key: local([value])[0] if isinstance(value, str) else value
+                for key, value in resolved.items()}
+    manifest = tmp_path / "old.manifest.json"
+    manifest.write_text(json.dumps({"command": argv[0], "inputs": {},
+                                    "outputs": {}, "resolved": resolved}))
+    assert run("--output-dir", tmp_path / "rerun", "rerun", manifest) == 0
+    assert run("--output-dir", tmp_path / "fresh", *local(argv)) == 0
+    _same_files(tmp_path / "rerun", tmp_path / "fresh")
 
 
 #: a fresh interpreter runs each command once
