@@ -46,8 +46,12 @@ it.  In the classic form the first rejection's coef is alpha - w0, which
 holds the -w0 * g_{t-r1} half of its pre-rejection term, and that term's
 factor delta**(t-r1) is read from the table of powers, 0 past its end: so
 the first rejection's whole credit ends at age W.  The controller keeps
-the kernel's sum for the next steps in a future-contribution buffer, so a
-step reads one cell, and ``run_array`` scans whole chunks up to the next
+the kernel's sum for the next steps in a future-contribution buffer, and
+beside it a head table of the same block: the pre-rejection term
+pre_coef * delta**(t-r1) * head_t (the factor is 1 outside the classic
+form), rebuilt at each refill, at a restore and when the classic form's
+first rejection arrives.  A step reads one buffer cell and one head-table
+cell, and ``run_array`` slices both to scan whole chunks up to the next
 rejection.  The ADDIS family records the candidate count S_0 at each
 rejection and takes a dot product over the live rejection terms.
 
@@ -153,8 +157,8 @@ MONOTONE_LORD_RULES = frozenset(r for r, s in RULE_SPECS.items() if s.monotone)
 SNAPSHOT_FORMAT = "streamfdr-controller-state"
 SNAPSHOT_VERSION = 1
 
-#: cells in the decay kernel's future-contribution buffer, which covers the
-#: times base+1 .. base+_BLOCK
+#: cells in the decay kernel's future-contribution buffer and head table,
+#: which cover the times base+1 .. base+_BLOCK
 _BLOCK = 1024
 #: powers of delta computed per numpy call when building decay tables
 _CHUNK = 1 << 16
@@ -183,7 +187,6 @@ class Decision:
     threshold: float
     rejected: bool
     oracle_value: float
-    floor_active: bool
 
 
 def _coefficients(config: "ControllerConfig") -> tuple:
@@ -263,6 +266,10 @@ class ControllerConfig:
         if self.w0 is not None and not math.isfinite(self.w0):
             # a rule that ignores w0 still records it, and resumes check it
             raise ValueError("w0 must be finite")
+        for name, value in (("lambda", self.lam), ("tau", self.tau)):
+            # fixed records them as given, and resumes check them
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if spec.family == "fixed":
             # alpha doubles as the constant threshold; the closed endpoints
             # are meaningful degenerate baselines (reject nothing/everything)
@@ -448,7 +455,6 @@ class _BaseController:
                        if spec.pre in ("eta", "w0") else None)
         #: pre-rejection sequence: gtilde, or gamma in the classic form
         self._head = self._gamma if self._tilde is None else self._tilde
-        self._floor = threshold_floor(config, self._tilde)
         self._smooth = spec.denominator == "smooth"
         self._indicator = spec.numerator == "indicator"
         self._pre_coef, self._rej_coef = _coefficients(config)
@@ -512,11 +518,9 @@ class _BaseController:
         delta = cfg.delta
         t = self._t + 1
         threshold = self._raw(t)
-        floor = self._floor
         if cfg.dependence_correction:
             self._q += 1.0 / t
             threshold /= self._q
-            floor /= self._q
         if threshold > 1.0:
             threshold = 1.0
         rejected = p <= threshold
@@ -538,7 +542,7 @@ class _BaseController:
             self._advance(t, p, rejected)
         elif t >= self._due:
             self._advance(t, p, rejected)
-        return Decision(t, threshold, rejected, oracle, threshold <= floor)
+        return Decision(t, threshold, rejected, oracle)
 
     def run_array(self, pvalues):
         """Process a whole sequence into (alpha, rejected, oracle) arrays.
@@ -689,18 +693,20 @@ class LordController(_BaseController):
                               else self._kernel)
         self._kernel.flags.writeable = self._first_kernel.flags.writeable = False
         self._buf = np.zeros(_BLOCK, dtype=np.float64)
+        #: the pre-rejection term of the block's times (``_fill_heads``);
+        #: ``_head_list`` is its Python list, built when a step needs it
+        self._heads = np.empty(_BLOCK, dtype=np.float64)
         self._base = 0
         self._due = _BLOCK
+        self._fill_heads(0)
 
     def _raw(self, t: int) -> float:
-        # pre_coef * d1 * head_t: d1 = delta**(t - rho1) from the decay
-        # table in the classic form, 0 past its end, where rho1 is pruned
-        d1 = 1.0
-        if self._first_decays and self._rho1 is not None:
-            age = t - self._rho1
-            d1 = float(self._powers[age]) if age < self._powers.size else 0.0
-        return (self._pre_coef * d1 * self._head.weight(t)
-                + float(self._buf[t - self._base - 1]))
+        c = t - self._base - 1
+        heads = self._head_list
+        if heads is None:
+            # built on the block's first step: a scan reads only the array
+            heads = self._head_list = self._heads.tolist()
+        return heads[c] + self._buf.item(c)
 
     def _advance(self, t: int, p: float, rejected: bool):
         if rejected:
@@ -712,9 +718,28 @@ class LordController(_BaseController):
         self._append_rejection(t)
         if self._rho1 is None:
             self._rho1 = t
+            if self._first_decays:
+                self._fill_heads(t - self._base)
         self._add_kernel(t)
 
     # -- decay kernel --------------------------------------------------------
+
+    def _fill_heads(self, lo: int):
+        """Set the head table's cells lo.. of the block, the pre-rejection
+        term pre_coef * d1 * head_t of the times base+1+lo .. base+_BLOCK.
+
+        In the classic form d1 = delta**(t - rho1) from the decay table, 0
+        past its end, where rho1 is pruned; otherwise d1 = 1.
+        """
+        times = np.arange(self._base + 1 + lo, self._base + _BLOCK + 1)
+        d1 = 1.0
+        if self._first_decays and self._rho1 is not None:
+            ages, n_powers = times - self._rho1, self._powers.size
+            d1 = np.where(ages < n_powers, self._powers[
+                np.minimum(ages, n_powers - 1)], 0.0)
+        np.multiply(self._pre_coef * d1, self._head.weights(times),
+                    out=self._heads[lo:])
+        self._head_list = None
 
     def _add_kernel(self, r: int):
         """Add the credit of a rejection at r to the buffer cells after r."""
@@ -749,6 +774,7 @@ class LordController(_BaseController):
         first = int(np.searchsorted(live, base + 1 - (self._kernel.size - 1)))
         for r in live[first:].tolist():
             self._add_kernel(r)
+        self._fill_heads(0)
 
     def _run_array(self, p: np.ndarray):
         cfg = self.config
@@ -775,16 +801,9 @@ class LordController(_BaseController):
             t0 = self._t
             cell = t0 - self._base
             m = min(n - i, _BLOCK - cell)
-            times = np.arange(t0 + 1, t0 + m + 1)
-            d1 = 1.0
-            if self._first_decays and self._rho1 is not None:
-                ages, n_powers = times - self._rho1, self._powers.size
-                d1 = np.where(ages < n_powers, self._powers[
-                    np.minimum(ages, n_powers - 1)], 0.0)
-            thr = (self._pre_coef * d1 * self._head.weights(times)
-                   + self._buf[cell:cell + m])
+            thr = self._heads[cell:cell + m] + self._buf[cell:cell + m]
             if cfg.dependence_correction:
-                q = 1.0 / times
+                q = 1.0 / np.arange(t0 + 1, t0 + m + 1)
                 q[0] += self._q
                 q = np.cumsum(q)
                 thr /= q
@@ -946,7 +965,7 @@ class FixedThresholdController(_BaseController):
             self._rcount += 1
         self._rdelta = self.config.delta * self._rdelta + (1.0 if rejected else 0.0)
         self._t = t
-        return Decision(t, threshold, rejected, float("nan"), False)
+        return Decision(t, threshold, rejected, float("nan"))
 
 
 _CONTROLLERS = {"lord": LordController, "addis": AddisController,

@@ -96,6 +96,9 @@ class TestDetect:
         # every rule records w0, so none may take a NaN that fails its resume
         *[(rule, "--w0", value) for rule in controllers.RULES
           for value in ("nan", "inf")],
+        # and lambda and tau, which fixed records as given
+        *[(rule, flag, value) for rule in controllers.RULES
+          for flag in ("--lambda", "--tau") for value in ("nan", "inf")],
     ])
     def test_non_finite_rule_parameter_exits_2(self, tmp_path, capsys, method,
                                                flag, value):

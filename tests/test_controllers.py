@@ -161,7 +161,7 @@ class TestLordDecay:
             d = ctrl.step(1.0)
         assert d.threshold == 0.1 * 1.0 * (1.0 - 0.99)
         assert d.threshold >= 1e-3
-        assert d.floor_active
+        assert d.threshold <= threshold_floor(cfg)
         assert threshold_floor(cfg) == d.threshold
         assert rescale_factor(cfg) == 1.0
 
@@ -240,7 +240,7 @@ class TestAddisFamily:
             d = ctrl.step(0.4)
         expected = min(0.1 * 1.0 * 0.25 * (1.0 - 0.99), 0.25)
         assert d.threshold == expected
-        assert d.floor_active
+        assert d.threshold <= threshold_floor(cfg)
         assert expected >= 2.5e-4
 
 
@@ -895,3 +895,74 @@ class TestDecayKernel:
         with pytest.raises(ValueError, match="at step 13"):
             ctrl.run_array([0.5, 0.5, float("nan"), 0.5])
         assert ctrl.snapshot() == before
+
+
+class TestBlockEdges:
+    """The head table and the buffer cover one 1024-step block; stepping,
+    ``run_array`` and resuming read them across block edges with the same
+    bits."""
+
+    @staticmethod
+    def _configs():
+        for rule in KERNEL_RULES:
+            yield small_config(rule, lag=3 if RULE_SPECS[rule].lagged else 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            yield small_config("lord-decay-ramdas", delta=1.0)
+
+    @staticmethod
+    def _batch(ctrl, p):
+        log = metrics.run_log(ctrl, p)
+        return log.alpha, log.rejected, log.oracle
+
+    def _same_run(self, cfg, p, cuts):
+        """Stepping and ``run_array`` agree bit for bit, whole and resumed
+        from a snapshot taken after each of ``cuts`` rows."""
+        stepped = make_controller(cfg)
+        whole = step_loop(stepped, p)
+        batch = make_controller(cfg)
+        for ours, theirs in zip(self._batch(batch, p), whole):
+            np.testing.assert_array_equal(ours, theirs)
+        assert batch.snapshot() == stepped.snapshot()
+        for k in cuts:
+            head = make_controller(cfg)
+            metrics.run_log(head, p[:k])
+            text = head.snapshot()
+            for run in (step_loop, self._batch):
+                resumed = restore_controller(cfg, text)
+                for ours, theirs in zip(run(resumed, p[k:]), whole):
+                    np.testing.assert_array_equal(ours, theirs[k:])
+                assert resumed.snapshot() == stepped.snapshot()
+        return whole[1]
+
+    # the last cell of a block, the first cell of the next, a middle cell
+    @pytest.mark.parametrize("first", [1024, 1025, 1536, 2048, 2049])
+    def test_first_rejection_at_a_block_edge(self, first):
+        rng = np.random.default_rng(first)
+        p = np.ones(3600)
+        p[first - 1] = 0.0
+        p[first:] = rng.random(3600 - first) ** 6
+        for cfg in self._configs():
+            rejected = self._same_run(cfg, p, (first - 1, first, 1500, 2048,
+                                               3072))
+            assert np.flatnonzero(rejected)[0] == first - 1, cfg.rule
+
+    def test_busy_stream(self):
+        p = generate_stream(GeneratorConfig(length=3100, pi1=0.5,
+                                            seed=5)).p
+        for cfg in self._configs():
+            rejected = self._same_run(cfg, p, (700, 1024, 2048, 2500))
+            assert rejected.sum() > 300, cfg.rule
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_decisions_carry_python_floats(self, rule):
+        cfg = small_config(rule, lag=3 if RULE_SPECS[rule].lagged else 0)
+        ctrl = make_controller(cfg)
+        p = np.random.default_rng(3).random(1100) ** 4
+        metrics.run_log(ctrl, p[:1000])
+        for x in p[1000:]:
+            d = ctrl.step(x)
+            assert type(d.threshold) is float and type(d.oracle_value) is float
+        ctrl = restore_controller(cfg, ctrl.snapshot())
+        d = ctrl.step(np.float64(0.5))
+        assert type(d.threshold) is float and type(d.oracle_value) is float
