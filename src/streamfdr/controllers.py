@@ -198,25 +198,22 @@ def _coefficients(config: "ControllerConfig") -> tuple:
     return config.w0, config.alpha
 
 
-def threshold_floor(config: "ControllerConfig", tilde=None) -> float:
+def threshold_floor(config: "ControllerConfig") -> float:
     """Analytic pointwise lower bound on the rule's thresholds (0 if none).
 
     Decay rules with a gtilde floor can never drop below it, no matter how
     long ago the last rejection happened; the classic pre-rejection form
-    decays to 0.  A caller already holding the rule's gtilde passes it as
-    ``tilde``, which saves rebuilding a custom one.
+    decays to 0.
     """
     spec = config.spec
     if spec.family == "fixed":
         return config.alpha
     if spec.pre == "classic":
         return 0.0
-    if tilde is None:
-        tilde = decayed_gamma(config.gamma, config.delta)
     coef = _coefficients(config)[0]
     if spec.family == "addis":
         coef *= config.tau - config.lam
-    floor = coef * tilde.floor
+    floor = coef * decayed_gamma(config.gamma, config.delta).floor
     return min(floor, config.lam) if spec.family == "addis" else floor
 
 
@@ -438,8 +435,8 @@ class _BaseController:
     A family supplies ``_raw(t)``, its threshold at step t before the
     dependence correction and the clip at 1, and ``_advance(t, p, rejected)``,
     its bookkeeping after the decision, which runs after every rejection and
-    at every step from ``_due`` on.  ``_decay_weights``, ``_extra_state``
-    and ``_load_extra`` carry its own snapshot fields.
+    at every step from ``_due`` on.  ``_extra_state`` and ``_load_extra``
+    carry its own snapshot fields.
     """
 
     family: str = ""
@@ -466,6 +463,9 @@ class _BaseController:
         self._rdelta = 0.0   # discounted rejection count R_delta
         self._q = 0.0        # harmonic divisor q(t), if correction enabled
         self._rho = np.zeros(64, dtype=np.int64)
+        #: delta**u for u = 0..n (LORD's decay table), carried on past its
+        #: end by ``_decay_weights``
+        self._powers = _ONE
         self._start = 0
         self._k = 0
         #: per-rejection arrays, kept parallel to the rejection times _rho
@@ -573,10 +573,10 @@ class _BaseController:
 
     # -- snapshots ---------------------------------------------------------
 
-    def _decay_weights(self) -> list[float]:
-        """The decay weight of each held rejection term (the fixed rule
-        holds none)."""
-        return []
+    def _decay_weights(self, ages: np.ndarray) -> np.ndarray:
+        """The decay weight delta**age of a rejection term at each of the
+        int64 ``ages``, by repeated multiplication from 1.0."""
+        return _powers_at(self._powers, self.config.delta, ages)
 
     def _extra_state(self) -> dict:
         return {}
@@ -585,14 +585,15 @@ class _BaseController:
         pass
 
     def _snapshot_dict(self) -> dict:
+        times = np.asarray(self.rejection_times(), dtype=np.int64)
         return {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             "params": self.config.scalar_params(),
             "t": self._t,
             "rejection_count": self._rcount,
-            "rejection_times": self.rejection_times(),
-            "decay_weights": self._decay_weights(),
+            "rejection_times": times.tolist(),
+            "decay_weights": self._decay_weights(self._t - times).tolist(),
             "decayed_spend": self._dspend,
             "decayed_rejections": self._rdelta,
             "harmonic_q": self._q,
@@ -637,10 +638,8 @@ class _BaseController:
         _check(times.size == 0 or (times[0] >= 1 and times[-1] <= t
                                    and bool(np.all(np.diff(times) > 0))),
                "rejection times must increase strictly within 1..t")
-        # without pruning, old decay weights may have underflowed to 0
-        low = weights >= 0.0 if self.config.prune_epsilon == 0.0 else weights > 0.0
-        _check(bool(np.all(low & (weights <= 1.0))),
-               "decay weights must lie in (0, 1]")
+        _check(np.array_equal(weights, self._decay_weights(t - times)),
+               "decay weights must equal delta**age")
         _check(all(math.isfinite(x) and x >= 0.0 for x in sums),
                "oracle sums must be finite and nonnegative")
         size = max(64, int(times.size))
@@ -842,24 +841,24 @@ class LordController(_BaseController):
 
     # -- snapshots -----------------------------------------------------------
 
-    def _decay_weights(self) -> list[float]:
-        self._prune(self._t)
-        ages = self._t - self._rho[self._live()]
-        return _powers_at(self._powers, self.config.delta, ages).tolist()
+    def _first_decay_weight(self) -> float:
+        """The first rejection's decay weight, 0.0 before it."""
+        rho1 = self._rho1
+        return 0.0 if rho1 is None else float(
+            self._decay_weights(np.array([self._t - rho1]))[0])
 
     def _extra_state(self) -> dict:
-        rho1 = self._rho1
-        weight = 0.0 if rho1 is None else float(_powers_at(
-            self._powers, self.config.delta, np.array([self._t - rho1]))[0])
-        return {"first_rejection_time": rho1, "first_decay_weight": weight}
+        return {"first_rejection_time": self._rho1,
+                "first_decay_weight": self._first_decay_weight()}
 
     def _load_extra(self, snap: dict):
         rho1 = snap.get("first_rejection_time")
         self._rho1 = None if rho1 is None else int(rho1)
-        weight = float(snap.get("first_decay_weight", 0.0))
         _check(self._rho1 is None or 1 <= self._rho1 <= self._t,
                "first rejection time outside 1..t")
-        _check(0.0 <= weight <= 1.0, "first decay weight outside [0, 1]")
+        _check(float(snap.get("first_decay_weight", 0.0))
+               == self._first_decay_weight(),
+               "first decay weight must equal delta**age")
         self._refill(self._t)
 
 
@@ -926,9 +925,6 @@ class AddisController(_BaseController):
                     self._start += 1
                     self._k -= 1
 
-    def _decay_weights(self) -> list[float]:
-        return self._decay[self._live()].tolist()
-
     def _extra_state(self) -> dict:
         return {"candidate_counters": self._counters().tolist(),
                 "s0": self._s0, "s1": self._s1()}
@@ -946,7 +942,8 @@ class AddisController(_BaseController):
         self._c = np.zeros(self._rho.size, dtype=np.int64)
         self._c[:counters.size] = self._s0 + 1 - counters
         self._decay = np.zeros(self._rho.size, dtype=np.float64)
-        self._decay[:self._k] = snap["decay_weights"]
+        self._decay[:self._k] = self._decay_weights(
+            self._t - self._rho[:self._k])
 
 
 class FixedThresholdController(_BaseController):

@@ -2,26 +2,23 @@
 
 Reading.  ``read_header`` reads the header with ``csv.reader``.
 ``read_columns`` then reads the body ``CHUNK_ROWS`` lines at a time.  A
-chunk is *plain* when its lines hold the header's number of cells and no
-quote, no carriage return and none of the separators ``\\x1c``-``\\x1f``,
-which numpy strips from a cell as whitespace and Python refuses
-(``_plain_cells``, six substring searches).  A plain chunk's lines go to
-the reader's fast parser, which parses them with one call of numpy's C
-reader (``parse_columns``).  When a table parses every cell of its lines
-(streams, score files, decision logs, series with a label), that reader
-counts the cells itself and refuses a line with one too many or too few;
-a table with a column it does not parse compares each chunk's commas and
-line ends with the header's instead.  On plain lines the reader accepts a
-cell only when Python's ``int`` or ``float`` accepts it, and then gives
-the same value, bit for bit; it refuses a few cells that Python accepts,
-such as ``1_0`` and integers beyond int64.  When a chunk is not plain, or
-the fast parser rejects it (such a cell, a cell that does not parse, a
-line of another width, or a check of its own such as a gap in ``t``),
-that chunk and the rest of the file go to the reader's row loop over
-``csv.reader``.  The row loop is the reference: it handles quoting, CRLF
-line ends, extra trailing cells and forward fill, and it names the first
-bad row by its file-wide number.  Apart from the parsed columns, memory is
-bounded by one chunk.
+chunk is *plain* when its lines hold no quote, no carriage return and none
+of the separators ``\\x1c``-``\\x1f``, which numpy strips from a cell as
+whitespace and Python refuses (``_plain_cells``, six substring searches).
+A plain chunk's lines go to the reader's fast parser, which parses them
+with one call of numpy's C reader (``parse_columns``).  That reader reads
+every cell of a line, a cell that no parser names as a one-character text
+field that is dropped, so it refuses a line with a cell too many or too
+few.  On plain lines it accepts a cell only when Python's ``int`` or
+``float`` accepts it, and then gives the same value, bit for bit; it
+refuses a few cells that Python accepts, such as ``1_0`` and integers
+beyond int64.  When a chunk is not plain, or the fast parser rejects it
+(such a cell, a cell that does not parse, a line of another width, or a
+check of its own such as a gap in ``t``), that chunk and the rest of the
+file go to the reader's row loop over ``csv.reader``.  The row loop is the
+reference: it handles quoting, CRLF line ends, extra trailing cells and
+forward fill, and it names the first bad row by its file-wide number.
+Apart from the parsed columns, memory is bounded by one chunk.
 
 ``read_table`` is the one fast parser and row loop of the t-indexed tables
 (``detect``'s p-value streams, ``verify``'s decision logs): it holds their
@@ -92,40 +89,38 @@ _FIELDS = {int: np.int64, flag: np.int64, float: np.float64,
            label: np.float64}
 
 
-def parse_columns(lines, columns, whole=False):
-    """The columns of a plain chunk (its ``lines``), parsed by one call of
-    numpy's C reader.
+def parse_columns(lines, width, columns):
+    """The columns of a plain chunk (its ``lines``, ``width`` cells to a
+    line), parsed by one call of numpy's C reader.
 
     ``columns`` lists (index, parser) pairs; the parser ``int`` or
     ``float`` gives an int64 or float64 array, ``flag`` or ``label`` a bool
-    array.  ``whole`` says that they are every cell of a line: the reader
-    then parses each cell and refuses a line with another number of cells,
-    so the chunk's skeleton need not be compared (``_plain_cells``).  On
-    the lines ``_plain_cells`` lets through, the reader accepts a cell only
-    when Python's ``int`` or ``float`` does, and then gives the same value.
-    Raises ValueError on a cell that it or ``parser`` refuses, on a line
-    with a cell too many or too few when ``whole`` is set, and on a blank
-    line, which the reader would skip.
+    array.  The reader parses every cell: one that no parser names is read
+    as a one-character text field and dropped.  On the lines
+    ``_plain_cells`` lets through, it accepts a cell only when Python's
+    ``int`` or ``float`` does, and then gives the same value.  Raises
+    ValueError on a cell that it or ``parser`` refuses, on a line with a
+    cell too many or too few, and on a blank line, which the reader would
+    skip.
     """
-    indices = [i for i, _ in columns]
-    dtype = [(f"c{k}", _FIELDS[p]) for k, (_, p) in enumerate(columns)]
-    if whole:   # the fields in the order of the cells
-        dtype = [dtype[indices.index(i)] for i in range(len(columns))]
+    fields = ["U1"] * width
+    for i, parse in columns:
+        fields[i] = _FIELDS[parse]
+    dtype = [(f"c{i}", field) for i, field in enumerate(fields)]
     with warnings.catch_warnings():
         # numpy before 2.0 reads an int cell such as 1.0 through float,
         # with a DeprecationWarning; int() refuses it
         warnings.simplefilter("error")
         try:
             table = np.loadtxt(lines, delimiter=",", comments=None,
-                               quotechar=None, dtype=dtype, ndmin=1,
-                               usecols=None if whole else indices)
+                               quotechar=None, dtype=dtype, ndmin=1)
         except Warning as exc:
             raise ValueError(str(exc)) from None
     if table.size != len(lines):
         raise ValueError("a line is blank")
     out = []
-    for k, (_, parse) in enumerate(columns):
-        values = table[f"c{k}"]
+    for i, parse in columns:
+        values = table[f"c{i}"]
         if parse is flag:
             values = values != 0
         elif parse is label:
@@ -136,35 +131,18 @@ def parse_columns(lines, columns, whole=False):
     return out
 
 
-def every_cell(indices, width) -> bool:
-    """Whether the cell ``indices`` a table parses are all ``width`` cells
-    of its lines, each once: ``parse_columns``'s ``whole``."""
-    return sorted(indices) == list(range(width))
-
-
 #: what makes a chunk not plain: csv quoting, a carriage return, and the
 #: separators \x1c-\x1f, which numpy's reader strips from a cell and
 #: Python's int and float refuse
 _NOT_PLAIN = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
-#: every byte but the ends of cells and lines
-_NOT_SKELETON = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
-def _plain_cells(lines, width):
+def _plain_cells(lines):
     """Raise ValueError unless the cells of a chunk's ``lines`` are plain:
-    free of ``_NOT_PLAIN``, none longer than ``csv`` reads, and, unless
-    ``width`` is None, ``width`` to a line, by a compare of the chunk's
-    commas and line ends.  With ``width`` None, ``parse_columns(...,
-    whole=True)`` counts the cells instead."""
+    free of ``_NOT_PLAIN`` and none longer than ``csv`` reads."""
     text = "".join(lines)
     for char in _NOT_PLAIN:
         if char in text:
-            raise ValueError("a line is not plain")
-    if width is not None:
-        skeleton = text.encode().translate(None, _NOT_SKELETON)
-        if not text.endswith("\n"):        # the last line of the file
-            skeleton += b"\n"
-        if skeleton != (b"," * (width - 1) + b"\n") * len(lines):
             raise ValueError("a line is not plain")
     # no line is longer than csv's field limit: from each line's start,
     # the next `limit` characters hold its end, or all the text left
@@ -183,16 +161,13 @@ def _raising(exc):
     yield
 
 
-def read_columns(fh, width, fast, slow):
+def read_columns(fh, fast, slow):
     """Read the data rows of ``fh`` (positioned after its header) into
     column arrays.
 
     ``fast(lines, first_row)`` parses one plain chunk, given as its lines,
     and returns a sequence of arrays; it raises ValueError or
-    OverflowError to hand the chunk over to ``slow``.  ``_plain_cells``
-    checks each chunk for ``width`` cells to a line; a ``width`` of None
-    leaves that count to ``fast``, as ``parse_columns(..., whole=True)``
-    makes it.
+    OverflowError to hand the chunk over to ``slow``.
     ``slow(rows, first_row, parts)`` parses ``csv.reader`` rows from data row
     ``first_row`` (row 1 is the first data row) to the end of the file and
     returns a sequence of arrays; ``parts`` holds what ``fast`` returned for
@@ -213,7 +188,7 @@ def read_columns(fh, width, fast, slow):
         else:
             if lines:
                 try:
-                    _plain_cells(lines, width)
+                    _plain_cells(lines)
                     parts.append(fast(lines, first))
                 except (ValueError, OverflowError):
                     pass
@@ -279,12 +254,11 @@ def read_table(fh, width, columns, t_from, gap):
     """
     (_, it, _), *rest = columns
     first_t = t_from
-    whole = every_cell([i for _, i, _ in columns], width)
 
     def fast(lines, first):
         nonlocal first_t
-        t, *parsed = parse_columns(lines, [(i, p) for _, i, p in columns],
-                                   whole)
+        t, *parsed = parse_columns(lines, width,
+                                   [(i, p) for _, i, p in columns])
         if t_from is None and first == 1:
             first_t = int(t[0])
         start = first_t + first - 1
@@ -313,7 +287,7 @@ def read_table(fh, width, columns, t_from, gap):
         return [np.asarray(out, dtype=_DTYPES.get(parse, bool))
                 for out, (_, _, parse) in zip(parsed, rest)]
 
-    return read_columns(fh, None if whole else width, fast, slow)
+    return read_columns(fh, fast, slow)
 
 
 # ---------------------------------------------------------------------------

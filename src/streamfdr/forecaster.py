@@ -89,10 +89,9 @@ def ingest_csv(path, value_columns: Optional[Sequence[str]] = None,
         columns = [(idx, float) for idx in value_idx]
         if label_idx is not None:
             columns.append((label_idx, csvio.label))
-        whole = csvio.every_cell([idx for idx, _ in columns], width)
 
         def fast(lines, first):
-            parsed = csvio.parse_columns(lines, columns, whole)
+            parsed = csvio.parse_columns(lines, width, columns)
             values = np.column_stack(parsed[:len(value_idx)])
             if not np.isfinite(values).all():   # the row loop fills or refuses
                 raise ValueError("a value is not finite")
@@ -147,8 +146,7 @@ def ingest_csv(path, value_columns: Optional[Sequence[str]] = None,
                 return (values,)
             return values, np.asarray(labels, dtype=bool)
 
-        values, *labels = csvio.read_columns(
-            fh, None if whole else width, fast, slow)
+        values, *labels = csvio.read_columns(fh, fast, slow)
     return SeriesFrame(values=values, columns=list(value_columns),
                        labels=labels[0] if labels and len(values) else None)
 

@@ -115,13 +115,10 @@ def _oracle_numerator(log: DecisionLog, config: ControllerConfig) -> np.ndarray:
     return np.where(inside, log.alpha / (config.tau - config.lam), 0.0)
 
 
-def _discounted_prefixes(values: np.ndarray, delta: float,
-                         method: str) -> np.ndarray:
-    """d(T) = sum_{t<=T} delta**(T-t) * values_t for every prefix T."""
+def _discounted_prefixes(values: np.ndarray, delta: float) -> np.ndarray:
+    """d(T) = sum_{t<=T} delta**(T-t) * values_t for every prefix T, summed
+    from the raw values (``gamma.discounted_sums`` runs the recurrence)."""
     n = values.size
-    if method == "recurrence":
-        # acc = delta * acc + v, run in order: the same bits as the loop
-        return discounted_sums(values, delta)
     if delta == 1.0:
         # prefix sums of raw values; no discounting to redo per step
         return np.cumsum(values)
@@ -192,9 +189,9 @@ def verify_oracle_and_surplus(log: DecisionLog, config: ControllerConfig,
             spend, rdelta = discounted_sums(
                 np.column_stack((num, log.rejected)), config.delta).T
         else:
-            spend = _discounted_prefixes(num, config.delta, method)
+            spend = _discounted_prefixes(num, config.delta)
             rdelta = _discounted_prefixes(log.rejected.astype(np.float64),
-                                          config.delta, method)
+                                          config.delta)
         if smooth:
             denom = rdelta + config.eta
         else:

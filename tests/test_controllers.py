@@ -473,6 +473,14 @@ class TestSnapshots:
         pytest.param("addis-decay",
                      lambda s: s["decay_weights"].__setitem__(0, math.nan),
                      id="weight-nan"),
+        pytest.param("addis-decay", lambda s: s.update(
+            decay_weights=[1.0] * len(s["decay_weights"])),
+                     id="addis-weights-all-1"),
+        pytest.param("lord-decay", lambda s: s.update(
+            decay_weights=[1.0] * len(s["decay_weights"])),
+                     id="lord-weights-all-1"),
+        pytest.param("lord-decay", lambda s: s.update(first_decay_weight=1.0),
+                     id="lord-first-weight-1"),
         pytest.param("addis-decay",
                      lambda s: s["candidate_counters"].__setitem__(0, 0),
                      id="counter-zero"),

@@ -212,7 +212,7 @@ class TestReadColumns:
 
         def fast(lines, first):
             calls.append(("fast", first, len(lines)))
-            return csvio.parse_columns(lines, [(1, float)])
+            return csvio.parse_columns(lines, 2, [(1, float)])
 
         def slow(rows, first, parts):
             rows = list(rows)
@@ -222,7 +222,7 @@ class TestReadColumns:
         fh = io.StringIO(text, newline="")
         assert csvio.read_header(fh) == ["t", "p"]
         with mock.patch.object(csvio, "CHUNK_ROWS", chunk):
-            p, = csvio.read_columns(fh, 2, fast, slow)
+            p, = csvio.read_columns(fh, fast, slow)
         return calls, p
 
     def test_plain_chunks_take_the_fast_path(self):
@@ -387,16 +387,19 @@ def _numbered_rows(n, cells):
 
 
 class TestPlainCheck:
-    """A table that parses every cell of its lines leaves the count to
-    numpy's reader, which refuses a line with a cell too many or too few; a
-    table with a column it does not parse compares each chunk's commas and
-    line ends.  Either way a bad file exits 2 naming the row, with the
-    message of the row loop."""
+    """numpy's reader reads every cell of a table's lines, a cell that no
+    column parses as text, so it refuses a line with a cell too many or too
+    few.  A bad file exits 2 naming the row, with the message of the row
+    loop."""
 
     COMMANDS = {
         "stream": ("t,p,label", "{i},0.5,0", ["detect", "--method", "lord"]),
         "series": ("x,y,label", "{i},0.5,0",
                    ["score", "--label-column", "label", "--window", "2"]),
+        "note": ("t,p,label,note", "{i},0.5,0,n",
+                 ["detect", "--method", "lord"]),
+        "dated": ("date,x,y", "2024-01-{i:02d},{i}.5,0.5",
+                  ["score", "--columns", "x,y", "--window", "2"]),
     }
 
     def _run(self, tmp_path, capsys, kind, rows):
@@ -412,6 +415,12 @@ class TestPlainCheck:
         ("stream", False, "row 9: expected 3 columns, got 2"),
         ("series", True, "row 5: expected 3 cells, got 2"),
         ("series", False, "row 5: expected 3 cells, got 4"),
+        # the row loop reads a line without its note and one with an extra
+        # cell
+        ("note", True, None),
+        ("note", False, None),
+        ("dated", True, "row 5: expected 3 cells, got 2"),
+        ("dated", False, "row 5: expected 3 cells, got 4"),
     ])
     def test_compensating_cell_counts(self, tmp_path, capsys, kind,
                                       short_first, fault):
@@ -422,7 +431,23 @@ class TestPlainCheck:
         rows[short - 1] = rows[short - 1].rsplit(",", 1)[0]
         rows[long - 1] += ",0"
         code, err = self._run(tmp_path, capsys, kind, rows)
-        assert code == 2 and fault in err
+        if fault is not None:
+            assert code == 2 and fault in err
+            return
+        assert code == 0
+        log = (tmp_path / "out.csv").read_bytes()
+        with mock.patch.object(csvio, "_plain_cells", side_effect=ValueError):
+            assert self._run(tmp_path, capsys, kind, rows)[0] == 0
+        assert (tmp_path / "out.csv").read_bytes() == log
+
+    @pytest.mark.parametrize("kind", ["series", "dated"])
+    def test_one_line_a_cell_long(self, tmp_path, capsys, kind):
+        # a series takes exactly the header's cells, also beside a column
+        # that nothing parses
+        rows = _numbered_rows(20, self.COMMANDS[kind][1])
+        rows[4] += ",0"
+        code, err = self._run(tmp_path, capsys, kind, rows)
+        assert code == 2 and "row 5: expected 3 cells, got 4" in err
 
     @pytest.mark.parametrize("kind, fault", [
         ("stream", "row 7: cannot read label from ''"),
@@ -443,25 +468,33 @@ class TestPlainCheck:
         assert fast == _outcome(cli.read_stream_csv, path, slow=True)
         assert fast[0][2] == np.array([0.25, 0.5, 0.75]).tobytes()
 
-    @pytest.mark.parametrize("header, read, width", [
-        ("t,p,label", cli.read_stream_csv, None),
-        ("t,p,label,note", cli.read_stream_csv, 4),
-        ("reject,p,t,alpha", cli.read_decisions_csv, None),
-        ("x,label", forecaster.ingest_csv, None),
+    @pytest.mark.parametrize("header, read, note", [
+        ("t,p,label", cli.read_stream_csv, "n"),
+        ("t,p,label,note", cli.read_stream_csv, "né€"),
+        ("reject,p,t,alpha", cli.read_decisions_csv, "n"),
+        ("x,label", forecaster.ingest_csv, "n"),
         ("x,label,x", functools.partial(forecaster.ingest_csv,
-                                        value_columns=["x"]), 3)])
-    def test_only_a_table_with_unparsed_cells_compares_skeletons(
-            self, tmp_path, header, read, width):
+                                        value_columns=["x"]), "n")])
+    def test_every_table_takes_the_fast_path(self, tmp_path, header, read,
+                                             note):
+        # a column that nothing parses (note, the second x) is read as text
+        # and dropped, here one cell of non-ASCII text
         cells = {"t": "{i}", "p": "0.5", "alpha": "0.1", "reject": "0",
-                 "label": "0", "note": "n", "x": "1.5"}
+                 "label": "0", "note": note, "x": "1.5"}
         path = tmp_path / "s.csv"
         path.write_text(header + "\n" + "".join(
             ",".join(cells[c] for c in header.split(",")).format(i=i) + "\n"
-            for i in range(1, 6)))
-        with mock.patch.object(csvio, "_plain_cells",
-                               wraps=csvio._plain_cells) as check:
-            read(path)
-        assert [c.args[1] for c in check.call_args_list] == [width]
+            for i in range(1, 6)), encoding="utf-8")
+        parsed, parse_columns = [], csvio.parse_columns
+
+        def parse(*args):
+            parsed.append(parse_columns(*args))
+            return parsed[-1]
+
+        with mock.patch.object(csvio, "parse_columns", side_effect=parse):
+            fast = _outcome(read, path)
+        assert len(parsed) == 2      # both chunks of SMALL_CHUNK lines
+        assert fast == _outcome(read, path, slow=True)
 
     @pytest.mark.parametrize("bad_line, fault", [
         ("5,x,0,n", "row 5: cannot read p from 'x'"),
@@ -469,7 +502,7 @@ class TestPlainCheck:
         ("5,0.5,0,n,extra", None),      # the row loop reads extra cells
         ("5,0.5,0", None),              # and needs no note cell
     ])
-    def test_a_note_column_keeps_the_skeleton_path(self, tmp_path, capsys,
+    def test_a_note_column_reads_like_the_row_loop(self, tmp_path, capsys,
                                                    bad_line, fault):
         stream = tmp_path / "s.csv"
         rows = _numbered_rows(20, "{i},0.5,0,n")
@@ -486,9 +519,9 @@ class TestPlainCheck:
 
     def test_whole_lines_parse_in_any_column_order(self):
         # a decision log's columns in another order than the parsers'
-        got = csvio.parse_columns(["1,0.5,3,0.25\n", "0,0.75,4,0.5"],
+        got = csvio.parse_columns(["1,0.5,3,0.25\n", "0,0.75,4,0.5"], 4,
                                   [(2, int), (1, float), (3, float),
-                                   (0, csvio.flag)], whole=True)
+                                   (0, csvio.flag)])
         assert [column.tolist() for column in got] == [
             [3, 4], [0.5, 0.75], [0.25, 0.5], [True, False]]
 

@@ -7,6 +7,7 @@ import pytest
 
 from streamfdr import metrics
 from streamfdr.controllers import ControllerConfig, make_controller
+from streamfdr.gamma import discounted_sums
 from streamfdr.metrics import (DecisionLog, mfdr_estimate,
                                verify_oracle_and_surplus)
 from streamfdr.simulation import GeneratorConfig, generate_stream, method_config
@@ -202,7 +203,7 @@ class TestVerifier:
         for v in values.tolist():
             acc = delta * acc + v
             expected.append(acc)
-        got = metrics._discounted_prefixes(values, delta, "recurrence")
+        got = discounted_sums(values, delta)
         np.testing.assert_array_equal(got, np.asarray(expected))
 
     def test_incremental_oracle_matches_scratch_long_stream(self):
@@ -320,7 +321,7 @@ class TestScratchPrefixes:
         rng = np.random.default_rng(n)
         values = rng.random(n) * 10.0 ** rng.uniform(-12, 0, n)
         values[rng.random(n) < 0.3] = 0.0
-        got = metrics._discounted_prefixes(values, delta, "scratch")
+        got = metrics._discounted_prefixes(values, delta)
         expected = _fsum_prefixes(values, delta)
         assert got.shape == (n,)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
@@ -330,9 +331,9 @@ class TestScratchPrefixes:
     def test_bad_value_leaves_earlier_prefixes_unchanged(self, k, bad):
         rng = np.random.default_rng(5)
         values = rng.random(1999)
-        clean = metrics._discounted_prefixes(values, 0.99, "scratch")
+        clean = metrics._discounted_prefixes(values, 0.99)
         values[k] = bad
-        got = metrics._discounted_prefixes(values, 0.99, "scratch")
+        got = metrics._discounted_prefixes(values, 0.99)
         assert np.isfinite(got[:k]).all()
         np.testing.assert_array_equal(got[:k], clean[:k])
         assert not np.isfinite(got[k:]).any()
@@ -349,8 +350,8 @@ class TestScratchPrefixes:
         assert a.max_oracle == pytest.approx(b.max_oracle, rel=1e-10, abs=1e-12)
         for values in (log.alpha, log.rejected.astype(np.float64)):
             np.testing.assert_allclose(
-                metrics._discounted_prefixes(values, cfg.delta, "scratch"),
-                metrics._discounted_prefixes(values, cfg.delta, "recurrence"),
+                metrics._discounted_prefixes(values, cfg.delta),
+                discounted_sums(values, cfg.delta),
                 rtol=1e-10, atol=1e-12)
 
 
@@ -385,14 +386,14 @@ class TestScratchPrefixesAtEveryDecay:
     def test_matches_exact_sums_and_the_recurrence(self, n, delta):
         rng = np.random.default_rng(n)
         values = rng.random(n) * 10.0 ** rng.uniform(-12, 0, n)
-        got = metrics._discounted_prefixes(values, delta, "scratch")
+        got = metrics._discounted_prefixes(values, delta)
         assert got.shape == (n,) and np.isfinite(got).all()
         if n <= 1000:
             np.testing.assert_allclose(got, _fsum_prefixes(values, delta),
                                        rtol=1e-12, atol=0.0)
         else:
             np.testing.assert_allclose(
-                got, metrics._discounted_prefixes(values, delta, "recurrence"),
+                got, discounted_sums(values, delta),
                 rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -408,10 +409,10 @@ class TestScratchPrefixesAtEveryDecay:
         assert verify_oracle_and_surplus(log, cfg).passed
         log.alpha[k] = bad
         with np.errstate(invalid="ignore"):
-            got = metrics._discounted_prefixes(log.alpha, delta, "scratch")
+            got = metrics._discounted_prefixes(log.alpha, delta)
             with mock.patch.object(
                     metrics, "_discounted_prefixes",
-                    lambda v, d, _: _shift_and_add_prefixes(v, d)):
+                    _shift_and_add_prefixes):
                 before = verify_oracle_and_surplus(log, cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")     # verify warns of no NaN
