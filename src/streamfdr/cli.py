@@ -57,9 +57,15 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _create(path, **kwargs):
+    """``path`` opened for writing, its directory made if it is missing."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", **kwargs)
+
+
 def _write_csv(path, header, columns):
     """Write equal-length columns under ``header``."""
-    with open(path, "w", newline="") as fh:
+    with _create(path, newline="") as fh:
         csvio.write_columns(fh, header, columns)
 
 
@@ -69,7 +75,7 @@ def _write_rows(path, names, rows):
 
 
 def _write_json(path, payload):
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -147,8 +153,25 @@ def read_decisions_csv(path) -> metrics.DecisionLog:
 
 def _outpath(args, name: str) -> str:
     outdir = args.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "."
-    os.makedirs(outdir, exist_ok=True)
     return os.path.join(outdir, name)
+
+
+def _check_outputs(outputs, inputs, source=None):
+    """ValueError naming both paths if an output path is the same file as
+    one of ``inputs`` or ``source``, or as the manifest beside ``source``
+    (``<stem>.manifest.json``, which records where it came from)."""
+    if source:
+        inputs = [source, os.path.splitext(source)[0] + ".manifest.json",
+                  *inputs]
+    for out in outputs:
+        for path in filter(None, inputs):
+            try:
+                same = os.path.samefile(out, path)
+            except OSError:     # a missing output overwrites nothing
+                continue
+            if same:
+                raise ValueError(f"output {out} would overwrite the input "
+                                 f"{path}")
 
 
 def _read_manifest(path) -> dict:
@@ -357,12 +380,14 @@ _SCORE = {
 def cmd_score(args, resolved=None) -> int:
     resolved = _resolve(_SCORE, args, resolved)
     path, prefix = resolved["input"], resolved["out"]
+    csv_path = _outpath(args, f"{prefix}.csv")
+    _check_outputs([csv_path, _outpath(args, f"{prefix}.manifest.json")], [],
+                   source=path)
     frame = forecaster.ingest_csv(path, value_columns=resolved["columns"],
                                   label_column=resolved["label_column"],
                                   forward_fill=resolved["forward_fill"])
     p = forecaster.score_frame(frame, resolved["window"],
                                resolved["sidedness"])
-    csv_path = _outpath(args, f"{prefix}.csv")
     t = np.arange(1, frame.n_rows + 1)
     if frame.labels is not None:
         _write_csv(csv_path, ["t", "p", "label"], [t, p, frame.labels])
@@ -399,6 +424,15 @@ def cmd_detect(args, resolved=None) -> int:
         resolved.update(_config_params(config))
     path, prefix = resolved["input"], resolved["out"]
     resume_from, save_state = resolved["resume_from"], resolved["save_state"]
+    csv_path = _outpath(args, f"{prefix}.csv")
+    footer_path = _outpath(args, f"{prefix}.metrics.json")
+    state_path = _outpath(args, save_state) if save_state else None
+    inputs = [resolved["gamma_file"]]
+    _check_outputs([csv_path, footer_path,
+                    _outpath(args, f"{prefix}.manifest.json")],
+                   [*inputs, resume_from], source=path)
+    if state_path:   # it may rewrite the snapshot it resumes from
+        _check_outputs([state_path], inputs, source=path)
     p, is_null = read_stream_csv(path)
     if resume_from:
         with open(resume_from) as fh:
@@ -413,7 +447,6 @@ def cmd_detect(args, resolved=None) -> int:
         print(f"threshold floor {floor!r} "
               f"(rescale factor {controllers.rescale_factor(config)!r})")
 
-    csv_path = _outpath(args, f"{prefix}.csv")
     header = ["t", "p", "alpha", "reject"]
     columns = [np.arange(offset + 1, offset + len(log) + 1), p, log.alpha,
                log.rejected]
@@ -422,14 +455,11 @@ def cmd_detect(args, resolved=None) -> int:
         columns.append(~is_null)
     _write_csv(csv_path, header, columns)
 
-    summary = metrics.summarize_log(log, config)
-    footer_path = _outpath(args, f"{prefix}.metrics.json")
-    _write_json(footer_path, summary)
+    _write_json(footer_path, metrics.summarize_log(log, config))
 
     outputs = {"decisions": csv_path, "metrics": footer_path}
-    if save_state:
-        state_path = _outpath(args, save_state)
-        with open(state_path, "w") as fh:
+    if state_path:
+        with _create(state_path) as fh:
             fh.write(controller.snapshot())
             fh.write("\n")
         outputs["state"] = state_path
@@ -519,6 +549,11 @@ def cmd_sweep(args, resolved=None) -> int:
                     **_resolve(_SWEEP_RECORD, record=resolved))
     prefix = resolved["out"]
     cfg = simulation.SweepConfig(**settings)
+    names = {"grid": ("raw", "agg"), "burst": cfg.methods,
+             "frontier": ("frontier",)}[kind]
+    paths = {name: _outpath(args, f"{prefix}.{name}.csv") for name in names}
+    _check_outputs([*paths.values(), _outpath(args, f"{prefix}.manifest.json")],
+                   [resolved["config_file"]])
     burst = simulation.BurstConfig(effect=cfg.effect, alternative=cfg.alternative,
                                    sidedness=cfg.sidedness, seed=cfg.seed_base)
     outputs, failed_cells = {}, []
@@ -528,9 +563,8 @@ def cmd_sweep(args, resolved=None) -> int:
         for err in failed_cells:
             print(f"error: sweep cell pi1={err['pi1']} seed={err['seed']}: "
                   f"{err['error']}", file=sys.stderr)
-        raw_path = _outpath(args, f"{prefix}.raw.csv")
+        raw_path, agg_path = paths["raw"], paths["agg"]
         _write_rows(raw_path, simulation._RAW_COLUMNS, result.raw)
-        agg_path = _outpath(args, f"{prefix}.agg.csv")
         _write_rows(agg_path, simulation._AGG_COLUMNS, result.aggregate)
         outputs = {"raw": raw_path, "aggregate": agg_path}
         print(f"wrote {raw_path} ({len(result.raw)} rows) and {agg_path} "
@@ -541,7 +575,7 @@ def cmd_sweep(args, resolved=None) -> int:
         for method, config in zip(cfg.methods, cfg.method_configs()):
             log = metrics.run_log(controllers.make_controller(config),
                                   stream.p, is_null=stream.is_null)
-            path = _outpath(args, f"{prefix}.{method}.csv")
+            path = paths[method]
             _write_csv(path, ["t", "p", "alpha", "reject", "label"],
                        [np.arange(1, len(log) + 1), stream.p, log.alpha,
                         log.rejected, ~stream.is_null])
@@ -552,7 +586,7 @@ def cmd_sweep(args, resolved=None) -> int:
         result = simulation.fixed_threshold_frontier(simulation.FrontierConfig(
             burst=burst, delta=cfg.delta, eta=cfg.eta, reps=cfg.reps,
             workers=cfg.workers))
-        path = _outpath(args, f"{prefix}.frontier.csv")
+        path = paths["frontier"]
         _write_rows(path, list(result.aggregate[0]), result.aggregate)
         outputs = {"frontier": path}
         print(f"wrote {path} ({len(result.aggregate)} rows)")
@@ -605,6 +639,9 @@ _VERIFY = {
 
 def cmd_verify(args) -> int:
     metrics.check_verify_options(args.tol, args.method)
+    report_path = _outpath(args, args.out) if args.out else None
+    if report_path:
+        _check_outputs([report_path], [args.manifest], source=args.input)
     manifest = _read_manifest(args.manifest)
     resolved, outputs = manifest["resolved"], manifest["outputs"]
     basename = os.path.basename(args.input)
@@ -634,8 +671,8 @@ def cmd_verify(args) -> int:
     report = metrics.verify_oracle_and_surplus(log, config, tol=args.tol,
                                                method=args.method)
     print(report.summary())
-    if args.out:
-        _write_json(_outpath(args, args.out), asdict(report))
+    if report_path:
+        _write_json(report_path, asdict(report))
     if not report.passed:
         raise VerificationFailure(report.summary())
     return EXIT_OK

@@ -20,17 +20,21 @@ surplus
 at every prefix T.  The rule is certified iff the oracle never exceeds
 alpha and the surplus never dips below zero (for the ADDIS family, also
 that no threshold exceeds lambda).  "scratch" mode recomputes every prefix
-from the raw arrays, without the recurrence: blocks of B = isqrt(n) rows,
-each block anchored by a direct dot product over all raw values before it
-(about n**1.5 / 2 multiply-adds per series), and the rows inside a block
-summed by one scaled cumsum.  Its prefixes agree with exactly rounded sums
-within a relative 1e-12 (tested against ``math.fsum`` at decays from 1e-6
-to 1 - 1e-9).  "recurrence" mode replays the exact linear recurrence
-X <- delta * X + x_t instead, in linear time, through
-``gamma.discounted_sums``, which gives the bits of the scalar loop (an inf
-or NaN at row k reaches no prefix before k).  The two differ by round-off
-only, so they give the same verdict unless a surplus or oracle lies within
-about 1e-15 of its bound; ``verify`` uses scratch by default.
+from the raw arrays without replaying the whole recurrence: blocks of
+B = isqrt(n) rows, each block anchored by a direct dot product over all
+raw values before it (about n**1.5 / 2 multiply-adds per series), and
+then the recurrence X <- delta * X + x_t down each block from its anchor
+(B steps, all blocks in step, with no scaling and so no bound on values).
+Its prefixes agree with exactly rounded sums within a relative 1e-12
+(tested against ``math.fsum`` at decays from 1e-6 to 1 - 1e-9).
+"recurrence" mode replays the exact linear recurrence from the first row
+instead, in linear time, through ``gamma.discounted_sums``, which gives
+the bits of the scalar loop (an inf or NaN at row k reaches no prefix
+before k, in either mode).  The two differ by round-off only, so they
+give the same verdict unless a surplus or oracle lies within about 1e-15
+of its bound; ``verify`` uses scratch by default.  ``summarize_log``
+takes R_delta and V_delta from the last row of that same recurrence, so
+they carry the bits of the controllers' own accumulators.
 """
 
 from __future__ import annotations
@@ -44,10 +48,6 @@ import numpy as np
 from . import controllers
 from .controllers import ControllerConfig
 from .gamma import discounted_sums
-
-#: the scratch verifier scales a value by at most 2**_SCALE before its
-#: in-block cumsum, so the sums stay finite for values below about 2**500
-_SCALE = 500
 
 
 @dataclass
@@ -116,38 +116,28 @@ def _oracle_numerator(log: DecisionLog, config: ControllerConfig) -> np.ndarray:
 
 
 def _discounted_prefixes(values: np.ndarray, delta: float) -> np.ndarray:
-    """d(T) = sum_{t<=T} delta**(T-t) * values_t for every prefix T, summed
-    from the raw values (``gamma.discounted_sums`` runs the recurrence)."""
+    """d(T) = sum_{t<=T} delta**(T-t) * values_t for every prefix T, each
+    block's start summed directly from the raw values
+    (``gamma.discounted_sums`` runs the recurrence from the first row)."""
     n = values.size
     if delta == 1.0:
         # prefix sums of raw values; no discounting to redo per step
         return np.cumsum(values)
-    # Blocks of size = isqrt(n) rows.  A prefix T in the block after row s is
-    # delta**(T-s) * A(s) + sum_{s<t<=T} delta**(T-t) * v_t, where each
-    # anchor A(s) is a direct dot over the raw values up to s (no anchor is
-    # built from another).  The rows of a block take one scaled cumsum: row
-    # k (k = 0, 1, ...) of a segment after the prefix C is
-    #     delta**k * (delta * C + cumsum_{j<=k} delta**-j * v_j),
-    # C being the anchor for a block's first segment.  A segment is the
-    # whole block unless that would scale a value by more than 2**_SCALE.
-    # A cumsum only carries forward, so a NaN or inf at row k still reaches
-    # no prefix before k.
+    # Blocks of size = isqrt(n) rows.  Each block starts from an anchor, the
+    # prefix just before it as a direct dot over the raw values (no anchor is
+    # built from another), and all blocks then run d <- delta * d + v_t in
+    # step, one row of each per pass.  This only carries forward, so a NaN
+    # or inf at row k still reaches no prefix before k.
     size = max(1, isqrt(n))
-    seg = min(size, 1 + int(_SCALE * np.log(2.0) / -np.log(delta)))
-    powers = delta ** np.arange(max(n, size + 1), dtype=np.float64)
+    powers = delta ** np.arange(n, dtype=np.float64)
     rev = values[::-1].copy()
-    anchors = np.array([np.dot(rev[n - s:], powers[:s])
-                        for s in range(0, n, size)])
-    segs = -(-size // seg)
-    grid = np.zeros((anchors.size, segs * seg), dtype=np.float64)
-    grid[:, :size].flat[:n] = values
-    grid = grid.reshape(anchors.size, segs, seg)
-    sums = np.cumsum(grid * delta ** -np.arange(seg, dtype=np.float64), axis=2)
-    carry = anchors
-    for m in range(segs):
-        sums[:, m] = powers[:seg] * ((delta * carry)[:, None] + sums[:, m])
-        carry = sums[:, m, -1]
-    return sums.reshape(anchors.size, -1)[:, :size].reshape(-1)[:n]
+    d = np.array([np.dot(rev[n - s:], powers[:s]) for s in range(0, n, size)])
+    grid = np.zeros((d.size, size), dtype=np.float64)
+    grid.flat[:n] = values
+    for k in range(size):
+        d = delta * d + grid[:, k]
+        grid[:, k] = d
+    return grid.reshape(-1)[:n]
 
 
 def check_verify_options(tol: float, method: str) -> None:
@@ -238,13 +228,16 @@ def summarize_log(log: DecisionLog, config: ControllerConfig,
     r = int(rej.sum())
     row = {"T": n, "R": r, "alpha_target": config.alpha,
            "delta": delta, "eta": eta}
-    weights = delta ** np.arange(n - 1, -1, -1, dtype=np.float64) if n else np.zeros(0)
-    r_delta = float(np.dot(weights, rej)) if n else 0.0
+    labeled = log.is_null is not None
+    hits = np.column_stack((rej, rej & log.is_null) if labeled else (rej,))
+    # the recurrence's last row, as the controllers accumulate it
+    sums = discounted_sums(hits, delta)[-1] if n else np.zeros(hits.shape[1])
+    r_delta = float(sums[0])
     row["r_delta"] = r_delta
-    if log.is_null is not None:
+    if labeled:
         null = log.is_null
         v = int((rej & null).sum())
-        v_delta = float(np.dot(weights, rej & null)) if n else 0.0
+        v_delta = float(sums[1])
         alternatives = int((~null).sum())
         tp = int((rej & ~null).sum())
         row.update({

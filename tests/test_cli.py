@@ -149,7 +149,7 @@ class TestDetect:
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
         code = run("--output-dir", tmp_path, "detect", "--input", bad,
-                   "--method", "lord-decay", "--out", "bad")
+                   "--method", "lord-decay", "--out", "det")
         assert code == cli.EXIT_VALIDATION
         assert f"row {row}:" in capsys.readouterr().err
 
@@ -1212,3 +1212,97 @@ class TestColdStart:
         loaded = self._scipy_after(_DETECT, tmp_path)
         assert "scipy.linalg" in loaded
         assert not [m for m in loaded if m.startswith("scipy.special")]
+
+
+class TestOutputOverwritesInput:
+    """A command exits 2 before it writes anything when an output would be
+    one of its inputs, or the manifest beside its input CSV."""
+
+    @staticmethod
+    def _refused(tmp_path, capsys, argv, protected, unwritten=()):
+        before = {path: path.read_bytes() for path in protected}
+        assert run("--output-dir", tmp_path, *argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        err = captured.err
+        assert "would overwrite the input" in err
+        assert err.count(str(tmp_path)) == 2     # the output and the input
+        for path, data in before.items():
+            assert path.read_bytes() == data, path
+        for name in unwritten:
+            assert not (tmp_path / name).exists(), name
+        return captured
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--out", "stream"], "stream.csv"),
+        (["--save-state", "stream.csv"], "stream.csv"),
+        (["--save-state", "stream.manifest.json"], "stream.manifest.json"),
+        (["--save-state", "gamma.txt"], "gamma.txt"),
+    ])
+    def test_detect(self, tmp_path, capsys, flags, named):
+        stream = simulate(tmp_path, pi1=0.05, length=300)
+        gamma = tmp_path / "gamma.txt"
+        gamma.write_text("".join(f"{0.5 ** k!r}\n" for k in range(1, 40)))
+        captured = self._refused(
+            tmp_path, capsys, ["detect", "--input", stream, "--method",
+                               "lord-decay", "--gamma-file", gamma,
+                               "--out", "det", *flags],
+            [stream, tmp_path / "stream.manifest.json", gamma],
+            ["det.csv", "stream.metrics.json"])
+        assert str(tmp_path / named) in captured.err
+
+    def test_detect_resolves_the_output_dir(self, tmp_path, capsys):
+        stream = simulate(tmp_path / "sub", pi1=0.05, length=300)
+        self._refused(tmp_path / "sub", capsys,
+                      ["detect", "--input", stream, "--method", "lord",
+                       "--out", "stream"], [stream])
+
+    def test_detect_may_rewrite_the_snapshot_it_resumes_from(self, tmp_path):
+        stream = simulate(tmp_path, pi1=0.05, length=300)
+        state = tmp_path / "state.json"
+        for out, flags in (("h1", []), ("h2", ["--resume-from", state])):
+            assert run("--output-dir", tmp_path, "detect", "--input", stream,
+                       "--method", "lord-decay", "--out", out,
+                       "--save-state", "state.json", *flags) == 0
+        assert json.loads(state.read_text())["t"] == 600
+
+    def test_score(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("x\n" + "".join(f"{k % 7}.5\n" for k in range(200)))
+        (tmp_path / "series.manifest.json").write_text("{}\n")
+        self._refused(tmp_path, capsys,
+                      ["score", "--input", series, "--out", "series"],
+                      [series, tmp_path / "series.manifest.json"])
+
+    @pytest.mark.parametrize("out", ["det.manifest.json", "det.csv"])
+    def test_verify(self, tmp_path, capsys, out):
+        stream = simulate(tmp_path, pi1=0.05, length=300)
+        assert run("--output-dir", tmp_path, "detect", "--input", stream,
+                   "--method", "lord-decay", "--out", "det") == 0
+        log, manifest = tmp_path / "det.csv", tmp_path / "det.manifest.json"
+        capsys.readouterr()
+        captured = self._refused(tmp_path, capsys,
+                                 ["verify", "--input", log, "--manifest",
+                                  manifest, "--out", out], [log, manifest])
+        # refused before the log is read or checked
+        assert str(tmp_path / out) in captured.err and captured.out == ""
+
+    def test_sweep(self, tmp_path, capsys):
+        config = tmp_path / "cfg.raw.csv"
+        config.write_text("preset = fig4\nlength = 300\nreps = 1\n")
+        self._refused(tmp_path, capsys,
+                      ["sweep", "--config", config, "--out", "cfg"], [config],
+                      ["cfg.agg.csv", "cfg.manifest.json"])
+
+
+@pytest.mark.parametrize("rule", ["lord-decay", "lord-dep-decay",
+                                  "saffron-decay", "addis-decay"])
+def test_footer_r_delta_is_the_snapshot_accumulator(tmp_path, rule):
+    # the footer's R_delta is the recurrence the controller accumulates
+    stream = simulate(tmp_path, pi1=0.05, length=3000)
+    assert run("--output-dir", tmp_path, "detect", "--input", stream,
+               "--method", rule, "--out", "det",
+               "--save-state", "state.json") == 0
+    footer = json.loads((tmp_path / "det.metrics.json").read_text())
+    state = json.loads((tmp_path / "state.json").read_text())
+    assert footer["R"] > 10
+    assert footer["r_delta"] == state["decayed_rejections"]

@@ -256,21 +256,29 @@ class TestVerifier:
 
 
 class TestSummarize:
-    def test_summary_matches_direct_recomputation(self):
-        cfg = method_config("saffron-decay", horizon=100_000)
+    @pytest.mark.parametrize("rule, delta", [
+        ("saffron-decay", None), ("lord-decay", None), ("addis-decay", None),
+        # a summary delta other than the rule's, as a sweep gives its
+        # undecayed rules, and one above a decay rule's
+        ("lord", 0.99), ("saffron", 0.9), ("lord-decay", 0.999)])
+    def test_summary_matches_direct_recomputation(self, rule, delta):
+        cfg = method_config(rule, horizon=100_000)
         stream = generate_stream(GeneratorConfig(length=1500, pi1=0.1, seed=9))
         log = metrics.run_log(make_controller(cfg), stream.p,
                               is_null=stream.is_null)
-        row = metrics.summarize_log(log, cfg)
+        row = metrics.summarize_log(log, cfg, delta=delta)
+        delta = cfg.delta if delta is None else delta
         r = v = tp = 0
         r_delta = v_delta = 0.0
         for rej, null in zip(log.rejected.tolist(), stream.is_null.tolist()):
             r += rej
             v += rej and null
             tp += rej and not null
-            r_delta = cfg.delta * r_delta + rej
-            v_delta = cfg.delta * v_delta + (rej and null)
-        assert (row["R"], row["V"]) == (r, v)
+            r_delta = delta * r_delta + rej
+            v_delta = delta * v_delta + (rej and null)
+        assert (row["R"], row["V"]) == (r, v) and r > 10
+        # the bits of the recurrence, as the controllers accumulate it
+        assert (row["r_delta"], row["v_delta"]) == (r_delta, v_delta)
         assert row["fdp"] == pytest.approx(v / max(r, 1))
         assert row["fdp_delta"] == pytest.approx(v_delta / max(r_delta, 1.0),
                                                  rel=1e-12)
@@ -360,8 +368,8 @@ DELTAS = [1e-6, 0.1, 0.5, 0.99, 1 - 1e-9]
 
 
 def _shift_and_add_prefixes(values, delta):
-    """The scratch prefixes as the verifier summed them before one cumsum
-    per block: the same anchors, then isqrt(n) shift-and-add passes."""
+    """Another form of the scratch prefixes: the same anchors, then
+    isqrt(n) shift-and-add passes over each block."""
     n = values.size
     size = max(1, math.isqrt(n))
     powers = delta ** np.arange(max(n, size + 1), dtype=np.float64)
@@ -378,8 +386,9 @@ def _shift_and_add_prefixes(values, delta):
 
 
 class TestScratchPrefixesAtEveryDecay:
-    """One scaled cumsum per block, at decays whose scale would overflow in
-    one step and at decays that barely discount."""
+    """The recurrence run down each block from its direct anchor, at decays
+    so small that some rows' weights underflow and at decays that barely
+    discount."""
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize("n", [1, 2, 1000, 100_000])
